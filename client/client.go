@@ -23,6 +23,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -475,8 +476,10 @@ func (c *Client) Events(ctx context.Context, id string, after int, fn func(Event
 	}
 	defer resp.Body.Close()
 
+	// Frames are small: start from the scanner's default buffer and let
+	// it grow, up to 1 MiB, only for an unusually long line.
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+	sc.Buffer(nil, 1<<20)
 	var ev Event
 	var haveEvent bool
 	flush := func() error {
@@ -495,7 +498,9 @@ func (c *Client) Events(ctx context.Context, id string, after int, fn func(Event
 				return err
 			}
 		case strings.HasPrefix(line, "id: "):
-			fmt.Sscanf(line[4:], "%d", &ev.ID)
+			if n, err := strconv.Atoi(line[4:]); err == nil {
+				ev.ID = n
+			}
 			haveEvent = true
 		case strings.HasPrefix(line, "event: "):
 			ev.Type = line[7:]
@@ -516,19 +521,32 @@ func (c *Client) Events(ctx context.Context, id string, after int, fn func(Event
 
 // Wait follows the job's event stream until it finishes, invoking
 // onEvent (which may be nil) for each event, and returns the final
-// status. If streaming is unavailable it falls back to polling.
+// status: the one the terminal done/error event carries, so a finished
+// job costs no further request. If the stream ends without one (it
+// dropped, or an older daemon sent none) or is unavailable, Wait falls
+// back to polling GET /v1/jobs/{id}.
 func (c *Client) Wait(ctx context.Context, id string, onEvent func(Event)) (Status, error) {
+	var final *Status
 	err := c.Events(ctx, id, -1, func(e Event) error {
 		if onEvent != nil {
 			onEvent(e)
 		}
+		if e.Type == "done" || e.Type == "error" {
+			var p struct {
+				Status *Status `json:"status"`
+			}
+			if json.Unmarshal(e.Data, &p) == nil && p.Status != nil && p.Status.Terminal() {
+				final = p.Status
+			}
+		}
 		return nil
 	})
+	if final != nil {
+		return *final, nil
+	}
 	if err != nil && ctx.Err() != nil {
 		return Status{}, err
 	}
-	// The stream ended (terminal event) or was unavailable: poll until
-	// the status is terminal. On the happy path the first poll suffices.
 	for {
 		st, err := c.Job(ctx, id)
 		if err != nil {

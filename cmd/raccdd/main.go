@@ -153,6 +153,18 @@ func pprofMux() *http.ServeMux {
 	return mux
 }
 
+// readHeaderTimeout bounds how long a client may take to send a
+// request's headers, so a stalled or hostile connection cannot hold a
+// server goroutine forever. It bounds nothing after the headers: SSE
+// streams and result downloads run as long as they need.
+const readHeaderTimeout = 10 * time.Second
+
+// newHTTPServer returns the http.Server the daemon mounts h on, for the
+// API and pprof listeners alike.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
+}
+
 // serve runs the daemon on an already-bound listener until ctx is
 // cancelled, then drains. Split from run so tests can bind :0 themselves.
 func serve(ctx context.Context, opts serveOptions, ln net.Listener, stdout, stderr io.Writer) int {
@@ -181,7 +193,7 @@ func serve(ctx context.Context, opts serveOptions, ln net.Listener, stdout, stde
 		return 1
 	}
 
-	hs := &http.Server{Handler: svc.Handler()}
+	hs := newHTTPServer(svc.Handler())
 	logger.Info("listening", "addr", ln.Addr().String(), "cache", opts.cacheDir)
 	if len(opts.workers) > 0 {
 		logger.Info("coordinating workers", "count", len(opts.workers), "workers", opts.workers)
@@ -197,7 +209,7 @@ func serve(ctx context.Context, opts serveOptions, ln net.Listener, stdout, stde
 			ln.Close()
 			return 1
 		}
-		ps = &http.Server{Handler: pprofMux()}
+		ps = newHTTPServer(pprofMux())
 		logger.Info("pprof listening", "addr", pln.Addr().String())
 		go ps.Serve(pln)
 	}

@@ -188,8 +188,8 @@ func (h *Hierarchy) recallSharers(entry *directory.Entry, home int, skipCore int
 		}
 		l := h.mesh.Send(home, s, noc.Ctrl)
 		h.Stats.InvalidationsSent++
-		if vln, ok := h.l1[s].Invalidate(b2(entry)); ok && vln.Dirty {
-			h.writebackToLLC(s, b2(entry), vln.Val)
+		if vln, ok := h.l1[s].Invalidate(entry.Block); ok && vln.Dirty {
+			h.writebackToLLC(s, entry.Block, vln.Val)
 			l += h.Params.L1HitCycles
 		}
 		l += h.mesh.Send(s, home, noc.Ctrl)
@@ -201,8 +201,6 @@ func (h *Hierarchy) recallSharers(entry *directory.Entry, home int, skipCore int
 	entry.Owner = directory.NoOwner
 	return worst
 }
-
-func b2(e *directory.Entry) mem.Block { return e.Block }
 
 // writebackToLLC writes a dirty L1 line's data into the LLC (or memory when
 // the LLC line is absent) and accounts the data message.

@@ -139,3 +139,32 @@ func TestPhasesConcurrent(t *testing.T) {
 		t.Fatalf("lost updates: %v", got)
 	}
 }
+
+// TestPhasesFixedBuckets: the zero value is ready, a bucket timed at
+// zero is still reported while untouched ones are not, and a name
+// outside the canonical set panics at the call site.
+func TestPhasesFixedBuckets(t *testing.T) {
+	var p Phases
+	if p.Seconds() != nil {
+		t.Fatal("fresh phases should snapshot to nil")
+	}
+	p.Add(PhaseStore, 0)
+	p.Add(PhaseFabric, time.Millisecond)
+	s := p.Seconds()
+	if len(s) != 2 || s[PhaseStore] != 0 || s[PhaseFabric] != 0.001 {
+		t.Fatalf("Seconds = %v, want store 0 and fabric_rtt 0.001 only", s)
+	}
+	for name, call := range map[string]func(){
+		"Add":   func() { p.Add("exec_ms", time.Second) },
+		"Start": func() { p.Start("exec_ms") },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s with an unknown phase did not panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+}

@@ -1,22 +1,38 @@
 package obs
 
 import (
-	"sync"
+	"fmt"
+	"sync/atomic"
 	"time"
 )
 
-// Phases accumulates named wall-time buckets for one job. It is safe
-// for concurrent use (batch jobs run many backends at once) and all
-// methods are no-ops on a nil receiver, so unattached code paths cost
-// one pointer test.
+// phaseNames lists the canonical phases in bucket order.
+var phaseNames = [...]string{PhaseQueueWait, PhaseBuild, PhaseExec, PhaseStore, PhaseFabric}
+
+// Phases accumulates the canonical wall-time buckets (the Phase* names)
+// for one job. Each bucket is one atomic counter, so it is safe for
+// concurrent use (batch jobs run many backends at once) without a lock.
+// The zero value is ready to use, and all methods are no-ops on a nil
+// receiver, so unattached code paths cost one pointer test. Naming a
+// phase outside the canonical set is a programming error and panics.
 type Phases struct {
-	mu sync.Mutex
-	d  map[string]time.Duration
+	ns [len(phaseNames)]atomic.Int64
+	// set marks the buckets that were ever added to, so a phase timed
+	// at zero is still reported while an untouched one is not.
+	set [len(phaseNames)]atomic.Bool
 }
 
 // NewPhases returns an empty accumulator.
-func NewPhases() *Phases {
-	return &Phases{d: make(map[string]time.Duration)}
+func NewPhases() *Phases { return &Phases{} }
+
+// bucket maps a canonical phase name to its index.
+func bucket(name string) int {
+	for i, n := range phaseNames {
+		if n == name {
+			return i
+		}
+	}
+	panic(fmt.Sprintf("obs: unknown phase %q", name))
 }
 
 // Add folds d into the named bucket. Negative durations are ignored so
@@ -25,9 +41,9 @@ func (p *Phases) Add(name string, d time.Duration) {
 	if p == nil || d < 0 {
 		return
 	}
-	p.mu.Lock()
-	p.d[name] += d
-	p.mu.Unlock()
+	i := bucket(name)
+	p.ns[i].Add(int64(d))
+	p.set[i].Store(true)
 }
 
 // Start begins timing the named phase and returns the function that
@@ -36,8 +52,18 @@ func (p *Phases) Start(name string) func() {
 	if p == nil {
 		return func() {}
 	}
+	bucket(name) // fail at the call site, not when the phase ends
 	t0 := time.Now()
 	return func() { p.Add(name, time.Since(t0)) }
+}
+
+// each calls fn for every bucket that was added to.
+func (p *Phases) each(fn func(name string, d time.Duration)) {
+	for i, name := range phaseNames {
+		if p.set[i].Load() {
+			fn(name, time.Duration(p.ns[i].Load()))
+		}
+	}
 }
 
 // Durations returns a snapshot of the buckets, nil when empty.
@@ -45,15 +71,13 @@ func (p *Phases) Durations() map[string]time.Duration {
 	if p == nil {
 		return nil
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.d) == 0 {
-		return nil
-	}
-	out := make(map[string]time.Duration, len(p.d))
-	for k, v := range p.d {
-		out[k] = v
-	}
+	var out map[string]time.Duration
+	p.each(func(name string, d time.Duration) {
+		if out == nil {
+			out = make(map[string]time.Duration, len(phaseNames))
+		}
+		out[name] = d
+	})
 	return out
 }
 
@@ -63,14 +87,12 @@ func (p *Phases) Seconds() map[string]float64 {
 	if p == nil {
 		return nil
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.d) == 0 {
-		return nil
-	}
-	out := make(map[string]float64, len(p.d))
-	for k, v := range p.d {
-		out[k] = v.Seconds()
-	}
+	var out map[string]float64
+	p.each(func(name string, d time.Duration) {
+		if out == nil {
+			out = make(map[string]float64, len(phaseNames))
+		}
+		out[name] = d.Seconds()
+	})
 	return out
 }

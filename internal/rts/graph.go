@@ -141,10 +141,7 @@ func (g *Graph) CriticalPathLen() int {
 	longest := 0
 	for _, t := range g.tasks { // creation order is topological
 		d := 1
-		for _, s := range t.succs {
-			_ = s
-		}
-		// depth[t] was filled by predecessors via the reverse pass below.
+		// depth[t] was raised by t's predecessors, which come earlier.
 		if v, ok := depth[t]; ok {
 			d = v
 		}

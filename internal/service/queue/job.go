@@ -72,9 +72,10 @@ type Job struct {
 	trace string
 	// phases accumulates the job's wall-time breakdown; the exec and
 	// fabric layers reach it through the job context.
-	phases *obs.Phases
+	phases obs.Phases
 	// Execute runs the job's simulations; assigned at submission, called
-	// by the owning worker exactly once.
+	// by the owning worker exactly once, and dropped by Finish so a
+	// finished job no longer pins its request.
 	Execute func(j *Job) (csv string, err error)
 
 	mu        sync.Mutex
@@ -98,13 +99,12 @@ func NewJob(id, kind, trace string, runsTotal int) *Job {
 		id:        id,
 		kind:      kind,
 		trace:     trace,
-		phases:    obs.NewPhases(),
 		state:     StateQueued,
 		runsTotal: runsTotal,
 		created:   time.Now(),
 		notify:    make(chan struct{}),
 	}
-	j.appendEvent("status", map[string]any{"state": StateQueued})
+	j.appendLocked("status", map[string]any{"state": StateQueued})
 	return j
 }
 
@@ -118,7 +118,7 @@ func (j *Job) Kind() string { return j.kind }
 func (j *Job) Trace() string { return j.trace }
 
 // Phases returns the job's wall-time phase accumulator.
-func (j *Job) Phases() *obs.Phases { return j.phases }
+func (j *Job) Phases() *obs.Phases { return &j.phases }
 
 // mustJSON marshals values the service itself constructs; a failure is a
 // programming error.
@@ -130,27 +130,30 @@ func mustJSON(v any) json.RawMessage {
 	return b
 }
 
-// appendEvent appends an event and wakes all subscribers. The job's
-// trace ID is injected into the payload (SSE writes only the id/event/
-// data lines, so the trace must live inside data to reach the wire).
-// The notify channel is closed and replaced on every append
-// (broadcast); callers hold no lock, the job's own mutex is taken here.
-func (j *Job) appendEvent(typ string, data map[string]any) {
+// appendLocked appends an event and wakes all subscribers; the caller
+// holds j.mu (or owns j outright). The job's trace ID is injected into
+// the payload (SSE writes only the id/event/data lines, so the trace
+// must live inside data to reach the wire). The notify channel is
+// closed and replaced on every append (broadcast).
+func (j *Job) appendLocked(typ string, data map[string]any) {
 	if j.trace != "" {
 		data["trace"] = j.trace
 	}
-	raw := mustJSON(data)
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.events = append(j.events, Event{ID: len(j.events), Type: typ, Data: raw})
+	j.events = append(j.events, Event{ID: len(j.events), Type: typ, Data: mustJSON(data)})
 	close(j.notify)
 	j.notify = make(chan struct{})
 }
 
 // SetState transitions the job and logs a status event. Entering
-// StateRunning records the queue-wait phase (created → started).
+// StateRunning records the queue-wait phase (created → started). A
+// terminal state also logs its done/error event, whose payload carries
+// the final Status under "status", so a subscriber learns the outcome
+// without asking GET /v1/jobs/{id}. The state and its events change
+// under one lock: a subscriber that sees the job finished has already
+// been handed its terminal event.
 func (j *Job) SetState(s State, errMsg string) {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	j.state = s
 	now := time.Now()
 	switch s {
@@ -163,26 +166,29 @@ func (j *Job) SetState(s State, errMsg string) {
 	if errMsg != "" {
 		j.err = errMsg
 	}
-	j.mu.Unlock()
-	j.appendEvent("status", map[string]any{"state": s})
+	j.appendLocked("status", map[string]any{"state": s})
 	switch s {
 	case StateDone:
-		j.appendEvent("done", map[string]any{"result_url": "/v1/jobs/" + j.id + "/result"})
+		j.appendLocked("done", map[string]any{"result_url": "/v1/jobs/" + j.id + "/result", "status": j.statusLocked()})
 	case StateFailed:
-		j.appendEvent("error", map[string]any{"error": errMsg})
+		j.appendLocked("error", map[string]any{"error": errMsg, "status": j.statusLocked()})
 	case StateCanceled:
-		j.appendEvent("error", map[string]any{"error": "job canceled: daemon shutting down"})
+		j.appendLocked("error", map[string]any{"error": "job canceled: daemon shutting down", "status": j.statusLocked()})
 	}
 }
 
 // Finish records the outcome of Execute: the CSV on success, a canceled
-// state when the error is the context's, a failed state otherwise.
+// state when the error is the context's, a failed state otherwise. It
+// drops Execute, whose closure holds the request the job was built from.
 func (j *Job) Finish(csv string, err error) {
+	j.mu.Lock()
+	j.Execute = nil
+	if err == nil {
+		j.csv = csv
+	}
+	j.mu.Unlock()
 	switch {
 	case err == nil:
-		j.mu.Lock()
-		j.csv = csv
-		j.mu.Unlock()
 		j.SetState(StateDone, "")
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		j.SetState(StateCanceled, "")
@@ -194,10 +200,9 @@ func (j *Job) Finish(csv string, err error) {
 // Progress logs one completed run.
 func (j *Job) Progress(line string) {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	j.runsDone++
-	idx := j.runsDone - 1
-	j.mu.Unlock()
-	j.appendEvent("progress", map[string]any{"index": idx, "line": line})
+	j.appendLocked("progress", map[string]any{"index": j.runsDone - 1, "line": line})
 }
 
 // EventsSince returns the log tail from index from, the channel that will
@@ -215,6 +220,11 @@ func (j *Job) EventsSince(from int) (evs []Event, more <-chan struct{}, finished
 func (j *Job) Status() Status {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	return j.statusLocked()
+}
+
+// statusLocked is Status for a caller holding j.mu.
+func (j *Job) statusLocked() Status {
 	st := Status{
 		ID:        j.id,
 		Kind:      j.kind,

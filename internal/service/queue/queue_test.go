@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -164,5 +165,52 @@ func TestEventNotifyBroadcast(t *testing.T) {
 	evs, _, _ := j.EventsSince(0)
 	if len(evs) != 2 {
 		t.Fatalf("%d events after wake, want 2", len(evs))
+	}
+}
+
+// TestTerminalEventCarriesStatus: every outcome's terminal event carries
+// the job's final Status, identical to Status(), beside its usual
+// fields; Finish drops the job's Execute closure.
+func TestTerminalEventCarriesStatus(t *testing.T) {
+	for _, tc := range []struct {
+		err   error
+		typ   string
+		field string
+	}{
+		{nil, "done", "result_url"},
+		{errors.New("boom"), "error", "error"},
+		{context.Canceled, "error", "error"},
+	} {
+		j := NewJob("j1", "run", "t1", 1)
+		j.Execute = func(*Job) (string, error) { return "csv\n", tc.err }
+		j.SetState(StateRunning, "")
+		j.Progress("line")
+		j.Finish(j.Execute(j))
+		if j.Execute != nil {
+			t.Fatalf("%v: Finish kept the Execute closure", tc.err)
+		}
+
+		evs, _, _ := j.EventsSince(0)
+		last := evs[len(evs)-1]
+		var payload map[string]json.RawMessage
+		if err := json.Unmarshal(last.Data, &payload); err != nil {
+			t.Fatal(err)
+		}
+		if last.Type != tc.typ || payload[tc.field] == nil || string(payload["trace"]) != `"t1"` {
+			t.Fatalf("%v: terminal event %s %s", tc.err, last.Type, last.Data)
+		}
+		want, err := json.Marshal(j.Status())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(payload["status"]) != string(want) {
+			t.Fatalf("%v: event status %s, want %s", tc.err, payload["status"], want)
+		}
+		// Non-terminal events are unchanged: no status rides along.
+		for _, e := range evs[:len(evs)-1] {
+			if strings.Contains(string(e.Data), `"status"`) {
+				t.Fatalf("non-terminal event %s carries a status: %s", e.Type, e.Data)
+			}
+		}
 	}
 }

@@ -108,7 +108,8 @@ type Options struct {
 	// submissions beyond it are rejected with 503.
 	QueueDepth int
 	// MaxSweepRuns rejects sweeps and batches that expand to more
-	// simulations than this (default 100000).
+	// simulations than this (default 100000). It also bounds submission
+	// bodies, at maxBodyPerRun bytes per run: larger bodies get 413.
 	MaxSweepRuns int
 	// Engine and Shards select the default per-simulation execution
 	// engine for requests that do not name one: "" or "seq" runs each
@@ -240,24 +241,27 @@ func (s *Server) Handler() http.Handler { return s.withObs(s.mux) }
 func (s *Server) worker() {
 	defer s.workers.Done()
 	for j := range s.q.C() {
-		if s.runCtx.Err() != nil {
-			j.SetState(StateCanceled, "")
+		if err := s.runCtx.Err(); err != nil {
+			j.Finish("", err)
 			continue
 		}
 		j.SetState(StateRunning, "")
 		s.log.Info("job started", "job", j.ID(), "trace", j.Trace(), "kind", j.Kind())
-		j.Finish(s.executeJob(j))
-		s.finishJobObs(j)
+		csv, err := s.executeJob(j)
+		// The phases are complete once Execute returns. Observe them
+		// before Finish publishes the terminal event, so a client that
+		// has seen the job finish also sees them in /metrics.
+		for name, d := range j.Phases().Durations() { //raccd:unordered-ok each phase feeds its own histogram; cross-phase observation order is commutative
+			s.ex.Metrics().ObservePhase(name, d)
+		}
+		j.Finish(csv, err)
+		s.logFinished(j)
 	}
 }
 
-// finishJobObs logs a job's terminal transition and feeds its phase
-// breakdown into the /metrics phase histograms.
-func (s *Server) finishJobObs(j *queue.Job) {
+// logFinished logs a job's terminal transition.
+func (s *Server) logFinished(j *queue.Job) {
 	st := j.Status()
-	for name, d := range j.Phases().Durations() { //raccd:unordered-ok each phase feeds its own histogram; cross-phase observation order is commutative
-		s.ex.Metrics().ObservePhase(name, d)
-	}
 	s.log.Info("job finished",
 		"job", st.ID, "trace", st.TraceID, "kind", st.Kind, "state", string(st.State),
 		"error", st.Error, "runs", st.RunsDone,
@@ -311,8 +315,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	spec, err := fabric.NewSpec(req, s.opts.Engine, s.opts.Shards)
@@ -353,8 +356,7 @@ func (s *Server) runOne(spec fabric.Spec) func(*queue.Job) (string, error) {
 
 func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	m, err := exec.BuildMatrix(req, s.opts.Engine, s.opts.Shards)
@@ -395,6 +397,30 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.enqueueAndRespond(w, j)
+}
+
+// maxBodyPerRun is the body budget per run a submission may carry: a
+// fully populated run request is a few hundred bytes of JSON. One
+// maxBodyPerRun of slack on top covers a sweep's lists and whitespace.
+const maxBodyPerRun = 1 << 10
+
+// decodeBody decodes a submission's JSON body into v, reading at most
+// what MaxSweepRuns runs can need. On failure it writes the response —
+// 413 for an oversized body, 400 for a malformed one — and returns
+// false.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	limit := int64(s.opts.MaxSweepRuns+1) * maxBodyPerRun
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	httpError(w, code, fmt.Errorf("decoding request: %w", err))
+	return false
 }
 
 // enqueueAndRespond submits j and writes the 202/503 response.
