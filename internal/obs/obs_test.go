@@ -47,7 +47,7 @@ func TestContextCarriage(t *testing.T) {
 
 	var buf bytes.Buffer
 	l := NewLogger(&buf, slog.LevelInfo)
-	p := NewPhases()
+	p := &Phases{}
 	ctx = WithLogger(ctx, l)
 	ctx = WithTrace(ctx, "t123")
 	ctx = WithPhases(ctx, p)
@@ -84,7 +84,7 @@ func TestPhasesNilSafe(t *testing.T) {
 }
 
 func TestPhasesAccumulate(t *testing.T) {
-	p := NewPhases()
+	p := &Phases{}
 	p.Add("exec", 200*time.Millisecond)
 	p.Add("exec", 300*time.Millisecond)
 	p.Add("store", 50*time.Millisecond)
@@ -113,7 +113,7 @@ func TestPhasesAccumulate(t *testing.T) {
 }
 
 func TestPhasesStart(t *testing.T) {
-	p := NewPhases()
+	p := &Phases{}
 	stop := p.Start("exec")
 	time.Sleep(5 * time.Millisecond)
 	stop()
@@ -123,7 +123,7 @@ func TestPhasesStart(t *testing.T) {
 }
 
 func TestPhasesConcurrent(t *testing.T) {
-	p := NewPhases()
+	p := &Phases{}
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)

@@ -22,9 +22,6 @@ type Phases struct {
 	set [len(phaseNames)]atomic.Bool
 }
 
-// NewPhases returns an empty accumulator.
-func NewPhases() *Phases { return &Phases{} }
-
 // bucket maps a canonical phase name to its index.
 func bucket(name string) int {
 	for i, n := range phaseNames {

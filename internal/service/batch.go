@@ -22,7 +22,7 @@ import (
 // merged set is keyed by (workload, system, ratio, ADR).
 func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	if !s.decodeBody(w, r, &req) {
+	if !decodeBody(w, r, s.opts.MaxSweepRuns, &req) {
 		return
 	}
 	if len(req.Runs) == 0 {

@@ -234,11 +234,12 @@ func TestResumeReplaysTerminalStatus(t *testing.T) {
 }
 
 // TestSubmitBodyBounds: submission bodies are read through a limit
-// derived from MaxSweepRuns. An oversized body gets 413 and a malformed
-// one 400, on every submit endpoint, never a 5xx.
+// derived from the runs an endpoint can carry — one for /v1/runs,
+// MaxSweepRuns for sweeps and batches. An oversized body gets 413 and a
+// malformed one 400, on every submit endpoint, never a 5xx.
 func TestSubmitBodyBounds(t *testing.T) {
-	_, _, url := startCounted(t, Options{MaxSweepRuns: 2})
-	oversized := `{"workload":"` + strings.Repeat("a", 4*maxBodyPerRun) + `"}`
+	_, _, url := startCounted(t, Options{MaxSweepRuns: 8})
+	oversized := `{"workload":"` + strings.Repeat("a", 16*maxBodyPerRun) + `"}`
 	for _, path := range []string{"/v1/runs", "/v1/sweeps", "/v1/batch"} {
 		for _, tc := range []struct {
 			name, body string
@@ -264,18 +265,39 @@ func TestSubmitBodyBounds(t *testing.T) {
 		}
 	}
 
-	// A batch at the run limit, with room to spare per run, still fits.
 	run := client.RunRequest{Workload: "Jacobi", Scale: 0.05, System: "PT", Scheduler: "fifo", Machine: "paper16"}
-	body, err := json.MarshalIndent(client.BatchRequest{Runs: []client.RunRequest{run, run}}, "", "    ")
+	post := func(path string, body []byte) int {
+		t.Helper()
+		resp, err := http.Post(url+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	// A single run is held to one run's budget, not the sweep limit: a
+	// run padded to a few KiB gets 413 although a batch may be that big.
+	single, err := json.Marshal(run)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url+"/v1/batch", "application/json", bytes.NewReader(body))
+	padded := append(bytes.Repeat([]byte(" "), 4*maxBodyPerRun), single...)
+	if code := post("/v1/runs", padded); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("run padded to %d bytes: status %d, want 413", len(padded), code)
+	}
+
+	// A batch at the run limit, padded past that size, still fits.
+	runs := make([]client.RunRequest, 8)
+	for i := range runs {
+		runs[i] = run
+	}
+	body, err := json.Marshal(client.BatchRequest{Runs: runs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("batch of %d bytes at the run limit: status %d, want 202", len(body), resp.StatusCode)
+	body = append(bytes.Repeat([]byte(" "), 6*maxBodyPerRun), body...)
+	if code := post("/v1/batch", body); code != http.StatusAccepted {
+		t.Fatalf("batch of %d bytes at the run limit: status %d, want 202", len(body), code)
 	}
 }

@@ -315,7 +315,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
-	if !s.decodeBody(w, r, &req) {
+	if !decodeBody(w, r, 1, &req) {
 		return
 	}
 	spec, err := fabric.NewSpec(req, s.opts.Engine, s.opts.Shards)
@@ -356,7 +356,7 @@ func (s *Server) runOne(spec fabric.Spec) func(*queue.Job) (string, error) {
 
 func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if !s.decodeBody(w, r, &req) {
+	if !decodeBody(w, r, s.opts.MaxSweepRuns, &req) {
 		return
 	}
 	m, err := exec.BuildMatrix(req, s.opts.Engine, s.opts.Shards)
@@ -405,11 +405,11 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 const maxBodyPerRun = 1 << 10
 
 // decodeBody decodes a submission's JSON body into v, reading at most
-// what MaxSweepRuns runs can need. On failure it writes the response —
-// 413 for an oversized body, 400 for a malformed one — and returns
-// false.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	limit := int64(s.opts.MaxSweepRuns+1) * maxBodyPerRun
+// what the endpoint's largest submission of runs runs can need. On
+// failure it writes the response — 413 for an oversized body, 400 for
+// a malformed one — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, runs int, v any) bool {
+	limit := int64(runs+1) * maxBodyPerRun
 	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
 	if err == nil {
 		return true
