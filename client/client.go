@@ -174,17 +174,11 @@ type RunRequest struct {
 	WriteThrough bool    `json:"write_through,omitempty"`
 	Contiguity   float64 `json:"contiguity,omitempty"`
 	Validate     *bool   `json:"validate,omitempty"`
-	// Engine/Shards select how the server executes the simulation:
-	// "seq" (one goroutine) or "epoch" (Shards parallel workers; 0 →
-	// one per server CPU). Empty uses the server's default. Engines are
-	// metric-identical, so the result bytes never depend on them.
-	Engine string `json:"engine,omitempty"`
-	Shards int    `json:"shards,omitempty"`
 	// Core selects the core-timing model ("simple" when empty, or
 	// "ooo"); PrefetchDegree arms a per-core delta prefetcher issuing
 	// that many blocks per trained trigger, PrefetchDistance strides
-	// ahead (0 → server default look-ahead). Unlike Engine, these change
-	// the simulated machine and therefore the result and its cache key.
+	// ahead (0 → server default look-ahead). These change the simulated
+	// machine and therefore the result and its cache key.
 	Core             string `json:"core,omitempty"`
 	PrefetchDegree   int    `json:"prefetch_degree,omitempty"`
 	PrefetchDistance int    `json:"prefetch_distance,omitempty"`
@@ -203,10 +197,6 @@ type SweepRequest struct {
 	Machine  string  `json:"machine,omitempty"`
 	Scale    float64 `json:"scale,omitempty"`
 	Validate *bool   `json:"validate,omitempty"`
-	// Engine/Shards select how the server executes each simulation of
-	// the sweep (see RunRequest.Engine). Empty uses the server default.
-	Engine string `json:"engine,omitempty"`
-	Shards int    `json:"shards,omitempty"`
 	// Core/PrefetchDegree/PrefetchDistance select the core-timing model
 	// for every run of the sweep (see RunRequest.Core).
 	Core             string `json:"core,omitempty"`
@@ -258,34 +248,17 @@ type Stats struct {
 	RunsCompleted uint64         `json:"runs_completed"`
 	SimsRun       uint64         `json:"sims_run"`
 	SimsPerSec    float64        `json:"sims_per_sec"`
-	// Engine/Shards echo the server's default execution engine;
-	// EngineSims breaks executed simulations down by the engine that
-	// ran them (keyed by engine name).
-	Engine       string                `json:"engine"`
-	Shards       int                   `json:"shards,omitempty"`
-	EngineSims   map[string]EngineSims `json:"engine_sims,omitempty"`
-	CacheHits    uint64                `json:"cache_hits"`
-	CacheMisses  uint64                `json:"cache_misses"`
-	CacheHitRate float64               `json:"cache_hit_rate"`
-	CacheBytes   uint64                `json:"cache_bytes"`
-	CacheObjects int                   `json:"cache_objects"`
-	CacheEvicted uint64                `json:"cache_evictions"`
+	CacheHits     uint64         `json:"cache_hits"`
+	CacheMisses   uint64         `json:"cache_misses"`
+	CacheHitRate  float64        `json:"cache_hit_rate"`
+	CacheBytes    uint64         `json:"cache_bytes"`
+	CacheObjects  int            `json:"cache_objects"`
+	CacheEvicted  uint64         `json:"cache_evictions"`
 	// Prefetch totals across every simulation this server executed;
 	// zero (and omitted) while no run armed a prefetcher.
 	PrefetchIssued uint64 `json:"prefetch_issued,omitempty"`
 	PrefetchUseful uint64 `json:"prefetch_useful,omitempty"`
 	PrefetchLate   uint64 `json:"prefetch_late,omitempty"`
-}
-
-// EngineSims is one engine's row of Stats.EngineSims.
-type EngineSims struct {
-	Sims       uint64  `json:"sims"`
-	Seconds    float64 `json:"seconds"`
-	SimsPerSec float64 `json:"sims_per_sec"`
-	// Engine-internal wall split (epoch only): speculative generation vs
-	// serial commit; the commit fraction bounds epoch speedup.
-	GenSeconds    float64 `json:"gen_seconds,omitempty"`
-	CommitSeconds float64 `json:"commit_seconds,omitempty"`
 }
 
 // APIError is a non-2xx response decoded from the service's error JSON.

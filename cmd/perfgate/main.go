@@ -2,9 +2,9 @@
 // regenerated BENCH_*.json record against the checked-in reference and
 // fails when a headline ratio regressed beyond the tolerance.
 //
-//	perfgate -ref BENCH_engine.json -new BENCH_engine.ci.json
+//	perfgate -ref BENCH_machine.json -new BENCH_machine.ci.json
 //	perfgate -ref BENCH_machine.json -new out.json -tolerance 0.10
-//	perfgate -ref BENCH_engine.json -new out.json -keys speedup_epoch4_vs_seq
+//	perfgate -ref BENCH_machine.json -new out.json -keys slowdown_64_vs_16
 //
 // Only ratio fields are gated — headline keys containing "speedup"
 // (higher is better) or "slowdown" (lower is better). Absolute

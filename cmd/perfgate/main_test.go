@@ -42,12 +42,12 @@ func gate(t *testing.T, args ...string) (int, string) {
 
 func TestGatePasses(t *testing.T) {
 	ref := write(t, "ref.json", map[string]float64{
-		"speedup_epoch4_vs_seq": 0.95, "slowdown_64_vs_16": 1.58, "seq_runs_per_s": 37,
+		"speedup_4_vs_1": 0.95, "slowdown_64_vs_16": 1.58, "seq_runs_per_s": 37,
 	})
 	// Within tolerance: speedup down 10%, slowdown up 10%, absolute
 	// throughput halved (not gated).
 	cur := write(t, "new.json", map[string]float64{
-		"speedup_epoch4_vs_seq": 0.855, "slowdown_64_vs_16": 1.738, "seq_runs_per_s": 18,
+		"speedup_4_vs_1": 0.855, "slowdown_64_vs_16": 1.738, "seq_runs_per_s": 18,
 	})
 	code, out := gate(t, "-ref", ref, "-new", cur)
 	if code != 0 {
@@ -62,10 +62,10 @@ func TestGateImprovementPasses(t *testing.T) {
 	// Better in both directions must never fail: a multi-core CI host
 	// beating a single-CPU reference speedup is progress, not drift.
 	ref := write(t, "ref.json", map[string]float64{
-		"speedup_epoch4_vs_seq": 0.95, "slowdown_64_vs_16": 1.58,
+		"speedup_4_vs_1": 0.95, "slowdown_64_vs_16": 1.58,
 	})
 	cur := write(t, "new.json", map[string]float64{
-		"speedup_epoch4_vs_seq": 2.8, "slowdown_64_vs_16": 1.30,
+		"speedup_4_vs_1": 2.8, "slowdown_64_vs_16": 1.30,
 	})
 	if code, out := gate(t, "-ref", ref, "-new", cur); code != 0 {
 		t.Fatalf("improvement gated as regression (code %d):\n%s", code, out)
@@ -73,8 +73,8 @@ func TestGateImprovementPasses(t *testing.T) {
 }
 
 func TestGateFailsOnSpeedupRegression(t *testing.T) {
-	ref := write(t, "ref.json", map[string]float64{"speedup_epoch4_vs_seq": 1.0})
-	cur := write(t, "new.json", map[string]float64{"speedup_epoch4_vs_seq": 0.80})
+	ref := write(t, "ref.json", map[string]float64{"speedup_4_vs_1": 1.0})
+	cur := write(t, "new.json", map[string]float64{"speedup_4_vs_1": 0.80})
 	code, out := gate(t, "-ref", ref, "-new", cur)
 	if code != 1 {
 		t.Fatalf("20%% speedup regression passed (code %d):\n%s", code, out)
@@ -93,8 +93,8 @@ func TestGateFailsOnSlowdownRegression(t *testing.T) {
 }
 
 func TestGateTolerance(t *testing.T) {
-	ref := write(t, "ref.json", map[string]float64{"speedup_epoch4_vs_seq": 1.0})
-	cur := write(t, "new.json", map[string]float64{"speedup_epoch4_vs_seq": 0.80})
+	ref := write(t, "ref.json", map[string]float64{"speedup_4_vs_1": 1.0})
+	cur := write(t, "new.json", map[string]float64{"speedup_4_vs_1": 0.80})
 	if code, out := gate(t, "-ref", ref, "-new", cur, "-tolerance", "0.25"); code != 0 {
 		t.Fatalf("regression within widened tolerance failed (code %d):\n%s", code, out)
 	}
@@ -103,8 +103,8 @@ func TestGateTolerance(t *testing.T) {
 func TestGateMissingKeyFails(t *testing.T) {
 	// A ratio that vanished from the regenerated record must fail loudly,
 	// not silently ungate.
-	ref := write(t, "ref.json", map[string]float64{"speedup_epoch4_vs_seq": 1.0})
-	cur := write(t, "new.json", map[string]float64{"speedup_epoch8_vs_seq": 1.0})
+	ref := write(t, "ref.json", map[string]float64{"speedup_4_vs_1": 1.0})
+	cur := write(t, "new.json", map[string]float64{"speedup_8_vs_1": 1.0})
 	code, out := gate(t, "-ref", ref, "-new", cur)
 	if code != 1 {
 		t.Fatalf("missing gated key passed (code %d):\n%s", code, out)
@@ -116,13 +116,13 @@ func TestGateMissingKeyFails(t *testing.T) {
 
 func TestGateExplicitKeys(t *testing.T) {
 	ref := write(t, "ref.json", map[string]float64{
-		"speedup_epoch4_vs_seq": 1.0, "speedup_epoch8_vs_seq": 1.0,
+		"speedup_4_vs_1": 1.0, "speedup_8_vs_1": 1.0,
 	})
 	cur := write(t, "new.json", map[string]float64{
-		"speedup_epoch4_vs_seq": 1.0, "speedup_epoch8_vs_seq": 0.5,
+		"speedup_4_vs_1": 1.0, "speedup_8_vs_1": 0.5,
 	})
 	// Gating only the healthy key passes; the default gate catches the bad one.
-	if code, out := gate(t, "-ref", ref, "-new", cur, "-keys", "speedup_epoch4_vs_seq"); code != 0 {
+	if code, out := gate(t, "-ref", ref, "-new", cur, "-keys", "speedup_4_vs_1"); code != 0 {
 		t.Fatalf("explicit healthy key failed (code %d):\n%s", code, out)
 	}
 	if code, _ := gate(t, "-ref", ref, "-new", cur); code != 1 {
@@ -143,10 +143,10 @@ func TestGateNoRatiosErrors(t *testing.T) {
 // with per-ratio verdicts.
 func TestGateStepSummary(t *testing.T) {
 	ref := write(t, "ref.json", map[string]float64{
-		"speedup_epoch4_vs_seq": 1.0, "slowdown_64_vs_16": 1.5,
+		"speedup_4_vs_1": 1.0, "slowdown_64_vs_16": 1.5,
 	})
 	cur := write(t, "new.json", map[string]float64{
-		"speedup_epoch4_vs_seq": 0.5, "slowdown_64_vs_16": 1.5,
+		"speedup_4_vs_1": 0.5, "slowdown_64_vs_16": 1.5,
 	})
 	summary := filepath.Join(t.TempDir(), "summary.md")
 	t.Setenv("GITHUB_STEP_SUMMARY", summary)
@@ -161,7 +161,7 @@ func TestGateStepSummary(t *testing.T) {
 	for _, want := range []string{
 		"### perfgate:",
 		"| ratio | reference | new | regression | verdict |",
-		"| `speedup_epoch4_vs_seq` | 1.0000 | 0.5000 | +50.0% | ❌ REGRESSED |",
+		"| `speedup_4_vs_1` | 1.0000 | 0.5000 | +50.0% | ❌ REGRESSED |",
 		"| `slowdown_64_vs_16` | 1.5000 | 1.5000 | +0.0% | ✅ ok |",
 	} {
 		if !strings.Contains(string(data), want) {
@@ -181,12 +181,12 @@ func TestGateStepSummary(t *testing.T) {
 	}
 }
 
-// TestGateRealRecord gates the checked-in BENCH_engine.json against
+// TestGateRealRecord gates the checked-in BENCH_machine.json against
 // itself — the exact invocation CI uses must accept an unchanged record.
 func TestGateRealRecord(t *testing.T) {
-	ref := "../../BENCH_engine.json"
+	ref := "../../BENCH_machine.json"
 	if _, err := os.Stat(ref); err != nil {
-		t.Skip("BENCH_engine.json not present")
+		t.Skip("BENCH_machine.json not present")
 	}
 	if code, out := gate(t, "-ref", ref, "-new", ref); code != 0 {
 		t.Fatalf("self-comparison failed (code %d):\n%s", code, out)

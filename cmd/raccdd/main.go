@@ -9,8 +9,6 @@
 //	raccdd -addr :9090 -cache ~/.raccd  # persistent cache shared with
 //	                                    # `sweep -cache ~/.raccd`
 //	raccdd -max-cache-mb 512            # LRU-bound the cache
-//	raccdd -engine epoch -shards 4      # default engine for requests
-//	                                    # that name none (docs/ENGINE.md)
 //	raccdd -workers http://h1:8080,http://h2:8080
 //	                                    # coordinator mode: partition runs
 //	                                    # across worker daemons by
@@ -60,8 +58,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		jobs       = fs.Int("jobs", 0, "concurrent simulations per job (0 = one per CPU)")
 		jobWorkers = fs.Int("job-workers", 2, "jobs executed concurrently")
 		queueDepth = fs.Int("queue", 64, "max queued jobs before submissions get 503")
-		engine     = fs.String("engine", "", "default execution engine for requests that name none: seq or epoch (metric-identical)")
-		shards     = fs.Int("shards", 0, "epoch engine worker count (0 = one per host CPU)")
 		drain      = fs.Duration("drain", 30*time.Second, "shutdown deadline for in-flight jobs")
 		workers    = fs.String("workers", "", "comma-separated worker raccdd URLs; runs execute on the fleet instead of in-process, partitioned by rendezvous hash")
 		inflight   = fs.Int("worker-inflight", 0, "max runs dispatched concurrently to each worker (0 = default)")
@@ -102,8 +98,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		simJobs:        *jobs,
 		jobWorkers:     *jobWorkers,
 		queueDepth:     *queueDepth,
-		engine:         *engine,
-		shards:         *shards,
 		drain:          *drain,
 		workers:        splitList(*workers),
 		workerInFlight: *inflight,
@@ -131,8 +125,6 @@ type serveOptions struct {
 	simJobs        int
 	jobWorkers     int
 	queueDepth     int
-	engine         string
-	shards         int
 	drain          time.Duration
 	workers        []string
 	workerInFlight int
@@ -181,8 +173,6 @@ func serve(ctx context.Context, opts serveOptions, ln net.Listener, stdout, stde
 		SimJobs:        opts.simJobs,
 		JobWorkers:     opts.jobWorkers,
 		QueueDepth:     opts.queueDepth,
-		Engine:         opts.engine,
-		Shards:         opts.shards,
 		Workers:        opts.workers,
 		WorkerInFlight: opts.workerInFlight,
 		Logger:         logger,

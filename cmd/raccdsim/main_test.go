@@ -118,7 +118,8 @@ func TestMissingTraceRejected(t *testing.T) {
 }
 
 // Invalid configurations fail fast with exit 2 and a diagnostic, before
-// any simulation runs.
+// any simulation runs. The removed execution-engine knobs are unknown
+// flags.
 func TestInvalidConfigRejectedUpFront(t *testing.T) {
 	for _, args := range [][]string{
 		{"-ratio", "3"},
@@ -126,6 +127,8 @@ func TestInvalidConfigRejectedUpFront(t *testing.T) {
 		{"-sched", "random"},
 		{"-contiguity", "2.0"},
 		{"-adr", "-system", "fullcoh"},
+		{"-engine", "seq"},
+		{"-shards", "2"},
 	} {
 		code, _, stderr := runSim(t, args...)
 		if code != 2 {

@@ -15,8 +15,8 @@
 //	sweep -cache ~/.raccd  # memoize runs in a content-addressed store
 //	sweep -machine m64     # the whole evaluation on a 64-core machine
 //	sweep -machines paper16,m32,m64     # Fig 2 across machine presets
-//	sweep -remote http://h1:8080,http://h2:8080
-//	                       # simulate on raccdd daemons, render locally
+//	sweep -remote http://h:8080
+//	                       # simulate on a raccdd daemon, render locally
 //
 // Simulations fan out across -jobs workers (default: one per CPU) with
 // results — figures, CSV, progress lines — identical to a sequential
@@ -28,11 +28,11 @@
 // raccdd daemon (see docs/SERVICE.md): offline sweeps and served requests
 // share one cache, and cached output is byte-identical to simulating.
 //
-// With -remote the simulations run on a fleet of raccdd daemons instead:
-// each endpoint receives its rendezvous-hashed partition of the matrix as
-// one batch job, identical runs dedupe in the endpoints' caches
-// fleet-wide, and the merged results render locally — figures and CSV
-// byte-identical to a local sweep.
+// With -remote the simulations run on one raccdd daemon instead: the
+// whole matrix is submitted as one batch job and the results render
+// locally — figures and CSV byte-identical to a local sweep. To spread a
+// sweep over several hosts, point -remote at a coordinator (raccdd
+// -workers h1,h2), which partitions the batch across its workers.
 package main
 
 import (
@@ -68,9 +68,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		machList = fs.String("machines", "", "comma-separated machine presets: run the Fig 2 matrix once per machine and print the cross-machine comparison")
 		scale    = fs.Float64("scale", 1.0, "problem scale (1.0 = Table II ÷ 16)")
 		jobs     = fs.Int("jobs", 0, "concurrent simulations (0 = one per CPU, 1 = sequential)")
-		engine   = fs.String("engine", "", "per-run execution engine: seq (default) or epoch; metric-identical, epoch spreads one run across host CPUs")
-		shards   = fs.Int("shards", 0, "epoch engine worker count (0 = one per host CPU)")
-		core     = fs.String("core", "", "core timing model for every run: simple (default) or ooo; changes the simulated machine, unlike -engine")
+		core     = fs.String("core", "", "core timing model for every run: simple (default) or ooo")
 		prefetch = fs.Int("prefetch", 0, "delta prefetcher degree for every run (blocks per trained trigger; 0 = off)")
 		pfDist   = fs.Int("prefetch-distance", 0, "prefetcher look-ahead in strides (0 = default 4; needs -prefetch)")
 		csvPath  = fs.String("csv", "", "write raw results as CSV to this file")
@@ -78,7 +76,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		traces   = fs.String("trace", "", "RTF trace file(s) to add to the matrix, comma-separated")
 		only     = fs.Bool("only-extra", false, "run only the -synth/-trace workloads, not the paper set")
 		cache    = fs.String("cache", "", "memoize runs in this result-store directory (shareable with raccdd)")
-		remote   = fs.String("remote", "", "comma-separated raccdd endpoints: simulate on the fleet instead of locally, one batch per endpoint (rendezvous-partitioned), figures rendered here")
+		remote   = fs.String("remote", "", "raccdd base URL: simulate the matrix there as one batch instead of locally, figures rendered here")
 		quiet    = fs.Bool("q", false, "suppress per-run progress")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -110,13 +108,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	var endpoints []string
-	for _, e := range strings.Split(*remote, ",") {
-		if e = strings.TrimSpace(e); e != "" {
-			endpoints = append(endpoints, e)
-		}
+	endpoint := strings.TrimSpace(*remote)
+	if strings.Contains(endpoint, ",") {
+		fmt.Fprintln(stderr, "sweep: -remote takes one daemon URL; to spread a sweep over several hosts, start a coordinator with raccdd -workers h1,h2 and point -remote at it")
+		return 2
 	}
-	if len(endpoints) > 0 {
+	if endpoint != "" {
 		// Remote execution ships plain run requests; the matrix variants
 		// that need in-process hooks stay local-only.
 		switch {
@@ -127,7 +124,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "sweep: -remote cannot run the NCRT latency study; it needs in-process latency overrides")
 			return 2
 		case *cache != "":
-			fmt.Fprintln(stderr, "sweep: -remote uses the endpoints' caches; drop -cache")
+			fmt.Fprintln(stderr, "sweep: -remote uses the daemon's cache; drop -cache")
 			return 2
 		}
 	}
@@ -164,8 +161,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	m.Scale = *scale
 	m.Jobs = *jobs
 	m.Machine = mach
-	m.Engine = *engine
-	m.Shards = *shards
 	m.Core = *core
 	m.PrefetchDegree = *prefetch
 	m.PrefetchDistance = *pfDist
@@ -256,8 +251,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	var set *report.Set
-	if len(endpoints) > 0 {
-		set, err = runRemote(ctx, m, *machName, endpoints)
+	if endpoint != "" {
+		set, err = runRemote(ctx, m, *machName, endpoint)
 	} else {
 		set, err = m.RunContext(ctx)
 	}

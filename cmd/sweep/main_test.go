@@ -46,6 +46,12 @@ func TestUnknownFlagRejected(t *testing.T) {
 	if code == 0 {
 		t.Fatal("unknown flag exited 0")
 	}
+	// The execution-engine knobs are gone: one execution path, no flag.
+	for _, flag := range []string{"-engine", "-shards"} {
+		if code, _, _ := runSweep(t, flag, "1", "-table", "2"); code != 2 {
+			t.Errorf("%s: exit %d, want 2 (unknown flag)", flag, code)
+		}
+	}
 }
 
 func TestStaticTables(t *testing.T) {

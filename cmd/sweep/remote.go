@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"raccd/client"
@@ -14,7 +13,7 @@ import (
 	"raccd/internal/sim" //raccd:layering-ok remote CSV rows re-index by report.Key into sim.Result to merge byte-identically with local figures
 )
 
-// Transient worker hiccups (503 queue-full, connection refused during a
+// Transient daemon hiccups (503 queue-full, connection refused during a
 // restart) are retried with jittered backoff instead of failing the
 // whole sweep.
 const (
@@ -22,80 +21,48 @@ const (
 	remoteBackoff = 200 * time.Millisecond
 )
 
-// runRemote executes the matrix on a fleet of raccdd endpoints instead
-// of simulating locally. The runs are rendezvous-partitioned by
-// (fingerprint, workload identity) — the same mapping a coordinator
-// daemon uses — so every client routes an identical run to the same
-// endpoint and its cache dedupes it globally. Each endpoint receives its
-// whole partition as one POST /v1/batch; the partial CSVs merge into one
-// Set whose CSV() is byte-identical to a local sweep of the same matrix,
-// because Set sorts rows by key regardless of arrival order.
-func runRemote(ctx context.Context, m report.Matrix, machineName string, endpoints []string) (*report.Set, error) {
+// runRemote executes the matrix on one raccdd daemon instead of
+// simulating locally: the whole matrix goes out as a single POST
+// /v1/batch. A plain daemon simulates every run itself; a coordinator
+// (raccdd -workers) rendezvous-partitions the runs across its workers,
+// so identical runs dedupe in their home worker's cache fleet-wide. The
+// returned CSV re-indexes into a Set whose figures and CSV() are
+// byte-identical to a local sweep of the same matrix.
+func runRemote(ctx context.Context, m report.Matrix, machineName, endpoint string) (*report.Set, error) {
 	specs, err := fabric.SpecsFromMatrix(m, machineName)
 	if err != nil {
 		return nil, err
 	}
-	parts := fabric.Partition(specs, endpoints)
 
-	// One trace ID covers the whole fleet sweep: every endpoint sees it
-	// as X-Raccd-Trace, stamps it on its job and logs, so one grep
-	// follows this invocation across all workers (docs/OBSERVABILITY.md).
+	// One trace ID covers the whole sweep: the daemon (and, behind a
+	// coordinator, every worker) stamps it on its jobs and logs, so one
+	// grep follows this invocation across the fleet
+	// (docs/OBSERVABILITY.md).
 	trace := obs.NewTraceID()
 	ctx = obs.WithTrace(ctx, trace)
 
-	// Progress lines from different endpoints interleave arbitrarily;
-	// only the merged set is deterministic.
-	var mu sync.Mutex
-	progress := func(line string) {
-		if m.Progress != nil {
-			mu.Lock()
-			m.Progress(line)
-			mu.Unlock()
-		}
+	remote := fabric.NewRemote(endpoint, client.WithRetry(remoteRetries, remoteBackoff))
+	csv, err := remote.RunBatch(ctx, specs, m.Progress)
+	if err != nil {
+		return nil, fmt.Errorf("%w (trace %s)", err, trace)
 	}
 
-	csvs := make([]string, len(endpoints))
-	errs := make([]error, len(endpoints))
-	var wg sync.WaitGroup
-	for i := range endpoints {
-		if len(parts[i]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			remote := fabric.NewRemote(endpoints[i], client.WithRetry(remoteRetries, remoteBackoff))
-			csvs[i], errs[i] = remote.RunBatch(ctx, parts[i], progress)
-		}(i)
+	// The batch CSV is sorted in CSV row order; re-index and re-insert in
+	// matrix order so figure row order (which follows first insertion)
+	// matches a local sweep exactly.
+	parsed, err := report.ParseCSV(strings.NewReader(csv))
+	if err != nil {
+		return nil, fmt.Errorf("%s: parsing results: %w", endpoint, err)
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("%w (trace %s)", err, trace)
-		}
-	}
-
-	// Workers return their partition sorted in CSV row order; re-index
-	// and re-insert in matrix order so figure row order (which follows
-	// first insertion) matches a local sweep exactly.
 	byKey := make(map[report.Key]sim.Result, len(specs))
-	for i, csv := range csvs {
-		if csv == "" {
-			continue
-		}
-		part, err := report.ParseCSV(strings.NewReader(csv))
-		if err != nil {
-			return nil, fmt.Errorf("worker %s: parsing results: %w", endpoints[i], err)
-		}
-		for _, res := range part.Results() {
-			byKey[report.Key{Workload: res.Workload, System: res.System, Ratio: res.DirRatio, ADR: res.ADR}] = res
-		}
+	for _, res := range parsed.Results() {
+		byKey[report.Key{Workload: res.Workload, System: res.System, Ratio: res.DirRatio, ADR: res.ADR}] = res
 	}
 	set := report.NewSet(nil)
 	for _, k := range m.Keys() {
 		res, ok := byKey[k]
 		if !ok {
-			return nil, fmt.Errorf("fleet results missing %s/%s 1:%d", k.Workload, k.System, k.Ratio)
+			return nil, fmt.Errorf("%s: results missing %s/%s 1:%d", endpoint, k.Workload, k.System, k.Ratio)
 		}
 		set.Add(res)
 	}

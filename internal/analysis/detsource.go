@@ -9,18 +9,18 @@ import (
 // DetSource forbids host-nondeterminism sources in the sim-core
 // packages: a sim.Result must be a pure function of (Config, Workload),
 // byte-reproducible across hosts and runs — that is what the golden
-// CSVs, the resultstore cache and the engine-equivalence contracts all
-// rest on. Flagged:
+// CSVs and the resultstore cache rest on. Flagged:
 //
 //   - importing math/rand, math/rand/v2 or crypto/rand (the page
 //     allocator's seeded PRNG carries a //raccd:detsource-ok directive:
 //     its seed is a Params field and part of the fingerprint);
-//   - calling time.Now or os.Getenv/os.Environ/os.LookupEnv (host
-//     wall-clock artifacts like EngineRunSeconds are set outside the
+//   - calling time.Now or os.Getenv/os.Environ/os.LookupEnv (a host
+//     wall-clock artifact, should one ever be needed, is set outside the
 //     metric path and annotated);
-//   - a field of sim.Result whose name ends in "Seconds" without a
-//     `json:"-"` tag: host wall times must never enter a cached result
-//     object, or a cache hit would replay another host's timings.
+//   - a field of sim.Result whose name ends in "Seconds" (say, a
+//     WallSeconds host measurement) without a `json:"-"` tag: host wall
+//     times must never enter a cached result object, or a cache hit
+//     would replay another host's timings.
 var DetSource = &Analyzer{
 	Name:      "detsource",
 	Doc:       "host-nondeterminism sources (clock, env, randomness) in sim-core",

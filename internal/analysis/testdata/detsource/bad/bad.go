@@ -25,7 +25,7 @@ func home() string {
 type Result struct {
 	Cycles uint64
 
-	EngineRunSeconds float64 // want `must carry .json:"-".`
+	WallSeconds float64 // want `must carry .json:"-".`
 
-	EngineGenSeconds float64 `json:"-"` // tagged: allowed
+	HostSeconds float64 `json:"-"` // tagged: allowed
 }

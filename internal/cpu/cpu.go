@@ -21,8 +21,8 @@
 // Models are deterministic pure state machines over the access stream:
 // given the same sequence of (va, write, latency) calls they charge the
 // same cycles and issue the same prefetches. The runtime calls them only
-// from the canonical commit order (seq engine in place, epoch engine at
-// replay), so every engine and shard count produces identical metrics.
+// from its dispatch loop, in task order, so a run's metrics never depend
+// on the host.
 package cpu
 
 import (

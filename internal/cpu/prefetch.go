@@ -26,7 +26,7 @@ const (
 //
 // The trainer is region-indexed rather than PC-indexed because the
 // simulator executes task bodies, not instructions — there is no program
-// counter, and the epoch engine's replay streams carry only (va, write).
+// counter, and recorded RTF traces carry only (va, write) per access.
 // A page-granular region index is replay-stable and captures the same
 // streaming structure: a stencil or copy kernel walks each page with a
 // constant block stride.

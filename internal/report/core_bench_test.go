@@ -27,7 +27,7 @@ import (
 // overlap, so it erodes exactly the stalls RaCCD's deactivated blocks
 // were avoiding — the recorded ratio says by how much.)
 //
-// Unlike the engine bench, every number here is simulated cycles, which
+// Unlike wall-clock records, every number here is simulated cycles, which
 // are deterministic for a given scale — host-independent, so the perfgate
 // comparison is exact and the default tolerance is pure slack.
 // BENCH_CORE_SCALE (default 0.25) sizes the problems; it must match the
@@ -144,7 +144,7 @@ func TestEmitCoreBench(t *testing.T) {
 		"headline": headline,
 		"notes": []string{
 			"speedup_raccd_vs_fullcoh_* is the geomean over workloads of FullCoh cycles / RaCCD cycles under that core configuration; speedup_raccd_benefit_with_prefetch_vs_without divides the prefetching benefit by the plain one — the EXPERIMENTS.md headline question in a single gated ratio.",
-			"Simulated cycles are deterministic for a given scale and engine-independent, so a regenerated record on any host must reproduce these ratios exactly (perfgate tolerance is pure slack); a drift means the timing model changed and the record must be regenerated deliberately.",
+			"Simulated cycles are deterministic for a given scale and host-independent, so a regenerated record on any host must reproduce these ratios exactly (perfgate tolerance is pure slack); a drift means the timing model changed and the record must be regenerated deliberately.",
 			"The simple core reproduces the pre-cpu-subsystem cycle counts byte-for-byte (golden_small_sweep.csv pins this), so speedup_raccd_vs_fullcoh_simple doubles as the frozen baseline of the paper reproduction.",
 			"Prefetches are real coherence-hierarchy accesses: they allocate, invalidate and ride the NoC under the run's scheme, so coverage differs between FullCoh and RaCCD runs of the same workload.",
 		},

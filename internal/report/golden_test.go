@@ -53,36 +53,6 @@ func TestSweepMatchesSeedGolden(t *testing.T) {
 	}
 }
 
-// TestSweepMatchesSeedGoldenEpoch reruns the seed-golden sweep under
-// engine=epoch at several shard counts: the parallel engine must reproduce
-// the seed CSV byte-identically — the same guard that made PR 2's hot-path
-// flattening and this PR's engine seam safe.
-func TestSweepMatchesSeedGoldenEpoch(t *testing.T) {
-	want, err := os.ReadFile("testdata/golden_small_sweep.csv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{1, 2, 4} {
-		m := smallMatrix()
-		m.Jobs = 1
-		m.Engine = "epoch"
-		m.Shards = shards
-		set, err := m.Run()
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if got := set.CSV(); got != string(want) {
-			gl, wl := splitLines(got), splitLines(string(want))
-			for i := 0; i < len(gl) && i < len(wl); i++ {
-				if gl[i] != wl[i] {
-					t.Fatalf("engine=epoch shards=%d diverged from seed golden at line %d:\n got: %s\nwant: %s", shards, i+1, gl[i], wl[i])
-				}
-			}
-			t.Fatalf("engine=epoch shards=%d diverged from seed golden: %d lines, want %d", shards, len(gl), len(wl))
-		}
-	}
-}
-
 func splitLines(s string) []string {
 	var out []string
 	start := 0

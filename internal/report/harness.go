@@ -43,14 +43,6 @@ type Matrix struct {
 	// identical with or without a cache, warm or cold.
 	// *resultstore.Store is the canonical implementation.
 	Cache Cache
-	// Engine selects the per-run host execution strategy ("" or "seq",
-	// or "epoch"); Shards is the epoch engine's worker count (0 → one
-	// per host CPU). Engines are metric-identical, so every figure, CSV
-	// line and cache key is unchanged by these knobs — they only decide
-	// how each simulation uses host CPUs (Jobs decides how many run at
-	// once; Engine/Shards decide how wide each one runs).
-	Engine string
-	Shards int
 	// Core, PrefetchDegree and PrefetchDistance override the machine's
 	// core-timing knobs for every run of the sweep (empty/zero leaves the
 	// Machine's own setting in place). They live on the Matrix — not only
@@ -60,12 +52,13 @@ type Matrix struct {
 	PrefetchDegree   int
 	PrefetchDistance int
 	// OnSimulated, if non-nil, is called once per simulation actually
-	// executed (cache hits do not fire it) with the run's engine name
-	// ("" means seq), its coherence scheme, wall-clock duration, and the
-	// run's Result (for counter aggregation — e.g. prefetch totals).
-	// Calls may be concurrent when Jobs > 1; the hook must be safe for
-	// that.
-	OnSimulated func(engine string, system coherence.Mode, elapsed time.Duration, res sim.Result)
+	// executed (cache hits do not fire it) with the run's coherence
+	// scheme, wall-clock duration, and Result (for counter aggregation —
+	// e.g. prefetch totals). Calls may be concurrent when Jobs > 1; the
+	// hook must be safe for that. The leading string is always "": it is
+	// kept only so the benchmark module in bench/, which cannot change in
+	// step with this package, still compiles.
+	OnSimulated func(_ string, system coherence.Mode, elapsed time.Duration, res sim.Result)
 }
 
 // Cache is the memoization seam of a Matrix: the subset of
@@ -135,7 +128,7 @@ func (m Matrix) simulate(cfg sim.Config, name string) (sim.Result, error) {
 		start := time.Now()
 		res, err := sim.Run(w, cfg)
 		if err == nil && m.OnSimulated != nil {
-			m.OnSimulated(cfg.Engine, cfg.System, time.Since(start), res)
+			m.OnSimulated("", cfg.System, time.Since(start), res)
 		}
 		return res, err
 	}

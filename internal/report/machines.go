@@ -127,8 +127,6 @@ func (m Matrix) config(sys coherence.Mode, ratio int) sim.Config {
 	cfg := sim.DefaultConfig(sys, ratio)
 	cfg.Params = m.Machine.Params()
 	cfg.Validate = m.Validate
-	cfg.Engine = m.Engine
-	cfg.Shards = m.Shards
 	cfg.Core = m.Machine.Core
 	cfg.PrefetchDegree = m.Machine.PrefetchDegree
 	cfg.PrefetchDistance = m.Machine.PrefetchDistance

@@ -40,14 +40,11 @@ func simulate(t *testing.T, cfg sim.Config, name string, scale float64) sim.Resu
 	return res
 }
 
-// resultsEquivalent compares results ignoring the non-serialized fields:
-// the Hierarchy handle and the host-side engine wall times (a Get after
-// Put round-trips through JSON, which drops both by design).
+// resultsEquivalent compares results ignoring the non-serialized
+// Hierarchy handle (a Get after Put round-trips through JSON, which drops
+// it by design).
 func resultsEquivalent(a, b sim.Result) bool {
 	a.Hierarchy, b.Hierarchy = nil, nil
-	a.EngineRunSeconds, b.EngineRunSeconds = 0, 0
-	a.EngineGenSeconds, b.EngineGenSeconds = 0, 0
-	a.EngineCommitSeconds, b.EngineCommitSeconds = 0, 0
 	return reflect.DeepEqual(a, b)
 }
 

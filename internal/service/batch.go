@@ -36,7 +36,7 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	specs := make([]fabric.Spec, len(req.Runs))
 	for i, run := range req.Runs {
-		spec, err := fabric.NewSpec(run, s.opts.Engine, s.opts.Shards)
+		spec, err := fabric.NewSpec(run)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, fmt.Errorf("run %d: %w", i, err))
 			return

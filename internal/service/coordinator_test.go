@@ -61,7 +61,7 @@ func TestCoordinatorBatchMatchesGolden(t *testing.T) {
 	c, workers, _ := startFabric(t, 2, Options{})
 	ctx := context.Background()
 
-	m, err := exec.BuildMatrix(goldenSweep(), "", 0)
+	m, err := exec.BuildMatrix(goldenSweep())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestBatchOnPlainDaemon(t *testing.T) {
 	_, c := newTestServer(t, Options{})
 	ctx := context.Background()
 
-	m, err := exec.BuildMatrix(goldenSweep(), "", 0)
+	m, err := exec.BuildMatrix(goldenSweep())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestBatchOnPlainDaemon(t *testing.T) {
 
 // TestMetricsEndpoint scrapes GET /metrics after a run and checks the
 // Prometheus exposition: counters present, histogram buckets cumulative,
-// engine rows labeled.
+// no execution-engine series.
 func TestMetricsEndpoint(t *testing.T) {
 	s, c := newTestServer(t, Options{})
 	ctx := context.Background()
@@ -326,15 +326,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		"raccd_store_coalesced_total 0",
 		"raccd_store_evictions_total 0",
 		"# TYPE raccd_store_bytes gauge",
-		`raccd_engine_sims_total{engine="seq"} 1`,
-		`raccd_engine_busy_seconds_total{engine="seq"}`,
-		`raccd_engine_sims_per_second{engine="seq"}`,
 		"# TYPE raccd_run_latency_seconds histogram",
 		`raccd_run_latency_seconds_bucket{scheme="RaCCD",le="+Inf"} 1`,
 		`raccd_run_latency_seconds_count{scheme="RaCCD"} 1`,
 		`raccd_run_latency_seconds_sum{scheme="RaCCD"}`,
-		`raccd_engine_gen_seconds_total{engine="seq"} 0`,
-		`raccd_engine_commit_seconds_total{engine="seq"} 0`,
 		`raccd_fabric_backend_up{backend="local"} 1`,
 		`raccd_fabric_backend_requests_total{backend="local"} 1`,
 		`raccd_fabric_backend_errors_total{backend="local"} 0`,
@@ -346,6 +341,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+	if strings.Contains(text, "engine") {
+		t.Error("metrics still expose an execution-engine series")
 	}
 	// Buckets are cumulative: the series for RaCCD must be non-decreasing
 	// and end at the count.

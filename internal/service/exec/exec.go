@@ -4,8 +4,8 @@
 // for sweep fan-out — returning exactly the CSV internal/report
 // produces. It sits below the transport (HTTP handlers, the fabric
 // Backend seam) and above the store; it owns the daemon's execution
-// counters (per-engine simulation tallies, per-scheme run-latency
-// histograms) so the stats and /metrics endpoints are a pure read.
+// counters (per-scheme run-latency histograms, per-phase job times,
+// prefetch totals) so the stats and /metrics endpoints are a pure read.
 package exec
 
 import (
@@ -53,10 +53,11 @@ func Scale(req client.RunRequest) float64 {
 	return req.Scale
 }
 
-// BuildConfig materializes a run request as a checked sim.Config. An
-// empty engine selection falls back to the server default
-// (defEngine/defShards).
-func BuildConfig(r client.RunRequest, defEngine string, defShards int) (sim.Config, error) {
+// BuildConfig materializes a run request as a checked sim.Config. The
+// trailing parameters are ignored: they are kept only so the benchmark
+// module in bench/, which cannot change in step with this package, still
+// compiles; pass "", 0.
+func BuildConfig(r client.RunRequest, _ string, _ int) (sim.Config, error) {
 	mode, err := coherence.ParseMode(r.System)
 	if err != nil {
 		return sim.Config{}, err
@@ -88,11 +89,6 @@ func BuildConfig(r client.RunRequest, defEngine string, defShards int) (sim.Conf
 		cfg.Params.Contiguity = r.Contiguity
 	}
 	cfg.Validate = r.Validate == nil || *r.Validate
-	cfg.Engine = r.Engine
-	cfg.Shards = r.Shards
-	if cfg.Engine == "" && cfg.Shards == 0 {
-		cfg.Engine, cfg.Shards = defEngine, defShards
-	}
 	cfg.Core = mach.Core
 	cfg.PrefetchDegree = mach.PrefetchDegree
 	cfg.PrefetchDistance = mach.PrefetchDistance
@@ -109,10 +105,9 @@ func BuildConfig(r client.RunRequest, defEngine string, defShards int) (sim.Conf
 }
 
 // BuildMatrix materializes a sweep request as a checked report.Matrix.
-// An empty engine selection falls back to the server default. Execution
-// wiring (cache, parallelism, hooks) is left to Sweep, so the matrix is
-// safe to expand (Keys, NumRuns) without side effects.
-func BuildMatrix(r client.SweepRequest, defEngine string, defShards int) (report.Matrix, error) {
+// Execution wiring (cache, parallelism, hooks) is left to Sweep, so the
+// matrix is safe to expand (Keys, NumRuns) without side effects.
+func BuildMatrix(r client.SweepRequest) (report.Matrix, error) {
 	m := report.DefaultMatrix()
 	m.ADR = r.ADR
 	mach, err := machine.Parse(r.Machine)
@@ -140,11 +135,6 @@ func BuildMatrix(r client.SweepRequest, defEngine string, defShards int) (report
 		m.Scale = r.Scale
 	}
 	m.Validate = r.Validate == nil || *r.Validate
-	m.Engine = r.Engine
-	m.Shards = r.Shards
-	if m.Engine == "" && m.Shards == 0 {
-		m.Engine, m.Shards = defEngine, defShards
-	}
 	m.Core = r.Core
 	m.PrefetchDegree = r.PrefetchDegree
 	m.PrefetchDistance = r.PrefetchDistance
@@ -159,8 +149,6 @@ func BuildMatrix(r client.SweepRequest, defEngine string, defShards int) (report
 		for _, ratio := range m.Ratios {
 			cfg := sim.DefaultConfig(sys, ratio)
 			cfg.Params = mach.Params()
-			cfg.Engine = m.Engine
-			cfg.Shards = m.Shards
 			cfg.Core = m.Core
 			cfg.PrefetchDegree = m.PrefetchDegree
 			cfg.PrefetchDistance = m.PrefetchDistance
@@ -201,7 +189,7 @@ func (e *Executor) Run(ctx context.Context, cfg sim.Config, workload string, sca
 		res, err := sim.RunContext(ctx, w, cfg)
 		simWall = time.Since(simStart)
 		if err == nil {
-			e.metrics.Observe(cfg.Engine, cfg.System, simWall, res)
+			e.metrics.Observe(cfg.System, simWall, res)
 		}
 		return res, err
 	})
@@ -210,13 +198,9 @@ func (e *Executor) Run(ctx context.Context, cfg sim.Config, workload string, sca
 	if err != nil {
 		return "", sim.Result{}, false, err
 	}
-	engine := cfg.Engine
-	if engine == "" {
-		engine = "seq"
-	}
 	obs.Log(ctx).Debug("run complete",
 		"workload", workload, "system", cfg.System.String(), "ratio", cfg.DirRatio,
-		"engine", engine, "cycles", res.Cycles, "cached", cached,
+		"cycles", res.Cycles, "cached", cached,
 		"sim_ms", simWall.Milliseconds())
 	return report.NewSet([]sim.Result{res}).CSV(), res, cached, nil
 }
@@ -229,7 +213,9 @@ func (e *Executor) Sweep(ctx context.Context, m report.Matrix, progress func(str
 	m.Jobs = e.simJobs
 	m.Cache = e.st
 	m.Progress = progress
-	m.OnSimulated = e.metrics.Observe
+	m.OnSimulated = func(_ string, sys coherence.Mode, d time.Duration, res sim.Result) {
+		e.metrics.Observe(sys, d, res)
+	}
 	return m.RunContext(ctx)
 }
 

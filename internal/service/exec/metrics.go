@@ -14,24 +14,14 @@ import (
 // `le`-labeled buckets with a +Inf bucket implied by the count.
 var LatencyBuckets = []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
 
-// Metrics accumulates the executor's counters: how many simulations
-// each engine executed (cache hits are not sims) and how executed-run
-// latency distributes per coherence scheme. The zero value is ready.
+// Metrics accumulates the executor's counters: how executed-run latency
+// distributes per coherence scheme (cache hits are not runs), per-phase
+// job wall times, and prefetcher totals. The zero value is ready.
 type Metrics struct {
 	mu       sync.Mutex
-	engines  map[string]*engineCount
 	schemes  map[string]*histogram
 	phases   map[string]*histogram
 	prefetch PrefetchTotals
-}
-
-type engineCount struct {
-	sims    uint64
-	seconds float64
-	// Host-side wall split the engine itself reported (nonzero only for
-	// engines that record one, i.e. epoch's generation vs serial commit).
-	genSeconds    float64
-	commitSeconds float64
 }
 
 // histogram is one scheme's latency distribution: per-bucket (non-
@@ -42,40 +32,27 @@ type histogram struct {
 	total  uint64
 }
 
-// Observe records one executed simulation. Matches the
-// report.Matrix.OnSimulated hook signature; safe for concurrent use.
-func (m *Metrics) Observe(engine string, system coherence.Mode, elapsed time.Duration, res sim.Result) {
-	if engine == "" {
-		engine = "seq"
+// observe adds secs to the histogram named name in *hists, creating
+// both on first use. The caller holds the Metrics lock.
+func observe(hists *map[string]*histogram, name string, secs float64) {
+	if *hists == nil {
+		*hists = make(map[string]*histogram)
 	}
-	secs := elapsed.Seconds()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.engines == nil {
-		m.engines = make(map[string]*engineCount)
-		m.schemes = make(map[string]*histogram)
-	}
-	ec := m.engines[engine]
-	if ec == nil {
-		ec = &engineCount{}
-		m.engines[engine] = ec
-	}
-	ec.sims++
-	ec.seconds += secs
-	ec.genSeconds += res.EngineGenSeconds
-	ec.commitSeconds += res.EngineCommitSeconds
-
-	name := system.String()
-	h := m.schemes[name]
+	h := (*hists)[name]
 	if h == nil {
 		h = &histogram{counts: make([]uint64, len(LatencyBuckets)+1)}
-		m.schemes[name] = h
+		(*hists)[name] = h
 	}
-	i := sort.SearchFloat64s(LatencyBuckets, secs)
-	h.counts[i]++
+	h.counts[sort.SearchFloat64s(LatencyBuckets, secs)]++
 	h.sum += secs
 	h.total++
+}
 
+// Observe records one executed simulation; safe for concurrent use.
+func (m *Metrics) Observe(system coherence.Mode, elapsed time.Duration, res sim.Result) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	observe(&m.schemes, system.String(), elapsed.Seconds())
 	m.prefetch.Issued += res.PrefetchIssued
 	m.prefetch.Useful += res.PrefetchUseful
 	m.prefetch.Late += res.PrefetchLate
@@ -99,54 +76,9 @@ func (m *Metrics) Prefetch() PrefetchTotals {
 // ObservePhase records one finished job's wall time in the named phase
 // (queue_wait, build, exec, store, fabric_rtt); safe for concurrent use.
 func (m *Metrics) ObservePhase(name string, d time.Duration) {
-	secs := d.Seconds()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.phases == nil {
-		m.phases = make(map[string]*histogram)
-	}
-	h := m.phases[name]
-	if h == nil {
-		h = &histogram{counts: make([]uint64, len(LatencyBuckets)+1)}
-		m.phases[name] = h
-	}
-	i := sort.SearchFloat64s(LatencyBuckets, secs)
-	h.counts[i]++
-	h.sum += secs
-	h.total++
-}
-
-// PhaseSnapshot returns a coherent copy of the per-phase histograms.
-func (m *Metrics) PhaseSnapshot() map[string]HistogramSnapshot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[string]HistogramSnapshot, len(m.phases))
-	for name, h := range m.phases {
-		out[name] = HistogramSnapshot{
-			Counts: append([]uint64(nil), h.counts...),
-			Sum:    h.sum,
-			Total:  h.total,
-		}
-	}
-	return out
-}
-
-// EngineSnapshot is one engine's executed-simulation tally.
-type EngineSnapshot struct {
-	Sims    uint64
-	Seconds float64
-	// Generation vs serial-commit wall split, summed over the engine's
-	// runs; zero for engines that don't report one (seq).
-	GenSeconds    float64
-	CommitSeconds float64
-}
-
-// SimsPerSec is the engine's throughput over its own busy time.
-func (e EngineSnapshot) SimsPerSec() float64 {
-	if e.Seconds <= 0 {
-		return 0
-	}
-	return float64(e.Sims) / e.Seconds
+	observe(&m.phases, name, d.Seconds())
 }
 
 // HistogramSnapshot is one scheme's latency distribution. Counts[i] is
@@ -159,24 +91,30 @@ type HistogramSnapshot struct {
 	Total  uint64
 }
 
-// Snapshot returns a coherent copy of all counters.
-func (m *Metrics) Snapshot() (engines map[string]EngineSnapshot, schemes map[string]HistogramSnapshot) {
+// SchemeSnapshot returns a coherent copy of the per-scheme run-latency
+// histograms.
+func (m *Metrics) SchemeSnapshot() map[string]HistogramSnapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	engines = make(map[string]EngineSnapshot, len(m.engines))
-	for name, ec := range m.engines {
-		engines[name] = EngineSnapshot{
-			Sims: ec.sims, Seconds: ec.seconds,
-			GenSeconds: ec.genSeconds, CommitSeconds: ec.commitSeconds,
-		}
-	}
-	schemes = make(map[string]HistogramSnapshot, len(m.schemes))
-	for name, h := range m.schemes {
-		schemes[name] = HistogramSnapshot{
+	return snapshot(m.schemes)
+}
+
+// PhaseSnapshot returns a coherent copy of the per-phase histograms.
+func (m *Metrics) PhaseSnapshot() map[string]HistogramSnapshot {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return snapshot(m.phases)
+}
+
+// snapshot copies hists; the caller holds the Metrics lock.
+func snapshot(hists map[string]*histogram) map[string]HistogramSnapshot {
+	out := make(map[string]HistogramSnapshot, len(hists))
+	for name, h := range hists {
+		out[name] = HistogramSnapshot{
 			Counts: append([]uint64(nil), h.counts...),
 			Sum:    h.sum,
 			Total:  h.total,
 		}
 	}
-	return engines, schemes
+	return out
 }

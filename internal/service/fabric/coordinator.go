@@ -42,8 +42,8 @@ func PickName(key string, names []string) int {
 
 // SpecsFromMatrix expands a validated sweep matrix into the fabric's run
 // list: one spec per matrix cell, in matrix order, carrying the resolved
-// scale, machine and engine so every backend executes exactly what the
-// caller validated. machineName is the wire-level machine selector (the
+// scale, machine and core timing so every backend executes exactly what
+// the caller validated. machineName is the wire-level machine selector (the
 // -machine flag / SweepRequest.Machine), passed through verbatim because
 // it was already validated into m.Machine. The specs fingerprint
 // identically to the cells of an in-process sweep (sim.Config normalizes
@@ -61,32 +61,17 @@ func SpecsFromMatrix(m report.Matrix, machineName string) ([]Spec, error) {
 			DirRatio:         k.Ratio,
 			ADR:              k.ADR,
 			Validate:         &m.Validate,
-			Engine:           m.Engine,
-			Shards:           m.Shards,
 			Core:             m.Core,
 			PrefetchDegree:   m.PrefetchDegree,
 			PrefetchDistance: m.PrefetchDistance,
 		}
-		spec, err := NewSpec(rr, m.Engine, m.Shards)
+		spec, err := NewSpec(rr)
 		if err != nil {
 			return nil, err
 		}
 		specs = append(specs, spec)
 	}
 	return specs, nil
-}
-
-// Partition splits specs into one bucket per name by rendezvous-hashing
-// each spec's key — the client-side half of the fabric, used by `sweep
-// -remote h1,h2` to build one batch per worker with the same mapping a
-// coordinator daemon would use.
-func Partition(specs []Spec, names []string) [][]Spec {
-	out := make([][]Spec, len(names))
-	for _, s := range specs {
-		i := PickName(s.Key(), names)
-		out[i] = append(out[i], s)
-	}
-	return out
 }
 
 // Coordinator fans a batch of runs out across backends, each run routed

@@ -51,30 +51,9 @@ func TestPickNameDeterministicAndStable(t *testing.T) {
 	}
 }
 
-func TestPartitionCoversEverySpec(t *testing.T) {
-	names := []string{"w1", "w2"}
-	specs := make([]Spec, 50)
-	for i := range specs {
-		specs[i] = Spec{Fingerprint: fmt.Sprintf("fp%d", i), Identity: "id"}
-	}
-	parts := Partition(specs, names)
-	total := 0
-	for bi, part := range parts {
-		total += len(part)
-		for _, s := range part {
-			if PickName(s.Key(), names) != bi {
-				t.Fatalf("spec %q in partition %d but hashes elsewhere", s.Key(), bi)
-			}
-		}
-	}
-	if total != len(specs) {
-		t.Fatalf("partitions hold %d specs, want %d", total, len(specs))
-	}
-}
-
 func TestNewSpecKeyMatchesStoreIdentity(t *testing.T) {
 	req := client.RunRequest{Workload: "MD5", Scale: 0.05, System: "RaCCD", DirRatio: 16}
-	spec, err := NewSpec(req, "", 0)
+	spec, err := NewSpec(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,35 +63,10 @@ func TestNewSpecKeyMatchesStoreIdentity(t *testing.T) {
 	if spec.Key() != spec.Fingerprint+" | "+spec.Identity {
 		t.Fatalf("Key() = %q", spec.Key())
 	}
-	// Engines are metric-identical and excluded from the fingerprint: the
-	// same run under the default engine and epoch must share a key, or
-	// cross-node dedupe would split by engine.
-	epoch := req
-	epoch.Engine, epoch.Shards = "epoch", 2
-	spec2, err := NewSpec(epoch, "", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec2.Key() != spec.Key() {
-		t.Fatalf("engine changed the rendezvous key:\n%q\n%q", spec.Key(), spec2.Key())
-	}
-	// Default baking: a request that names no engine inherits the
-	// coordinator's default in the forwarded request.
-	baked, err := NewSpec(req, "epoch", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if baked.Request.Engine != "epoch" || baked.Request.Shards != 2 {
-		t.Fatalf("defaults not baked: %+v", baked.Request)
-	}
-	if baked.Key() != spec.Key() {
-		t.Fatal("baked defaults changed the rendezvous key")
-	}
-
-	if _, err := NewSpec(client.RunRequest{Workload: "MD5", System: "MESI"}, "", 0); err == nil {
+	if _, err := NewSpec(client.RunRequest{Workload: "MD5", System: "MESI"}); err == nil {
 		t.Fatal("invalid system accepted")
 	}
-	if _, err := NewSpec(client.RunRequest{Workload: "NoSuchBench", System: "PT"}, "", 0); err == nil {
+	if _, err := NewSpec(client.RunRequest{Workload: "NoSuchBench", System: "PT"}); err == nil {
 		t.Fatal("invalid workload accepted")
 	}
 }

@@ -11,8 +11,8 @@ import (
 
 // Remote executes runs on another raccdd daemon over its HTTP API:
 // submit the run, follow its SSE event stream (forwarding progress
-// lines), fetch the result CSV. It is how a coordinator daemon and the
-// multi-endpoint sweep CLI reach their workers.
+// lines), fetch the result CSV. It is how a coordinator daemon reaches
+// its workers and `sweep -remote` reaches its daemon.
 type Remote struct {
 	name string
 	c    *client.Client
@@ -63,7 +63,7 @@ func jobRef(id string, st client.Status) string {
 // RunBatch submits specs to the daemon as one POST /v1/batch job, waits
 // it to completion forwarding progress lines, and returns the worker's
 // merged CSV. It is the bulk counterpart of Run, used by `sweep -remote`
-// to ship each endpoint its whole partition in one job.
+// to ship a whole sweep matrix in one job.
 func (r *Remote) RunBatch(ctx context.Context, specs []Spec, progress func(line string)) (string, error) {
 	ctx = bridgeTrace(ctx)
 	req := client.BatchRequest{Runs: make([]client.RunRequest, len(specs))}

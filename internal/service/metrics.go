@@ -18,15 +18,14 @@ var jobStates = []State{StateQueued, StateRunning, StateDone, StateFailed, State
 // handleMetrics serves GET /metrics in the Prometheus text exposition
 // format (hand-rolled — the repo takes no dependencies): queue depth,
 // job and run counters, result-store hit/miss/coalesce/eviction tallies,
-// per-engine executed-simulation throughput, and a per-scheme
-// run-latency histogram with classic cumulative `le` buckets. Counters
-// move only when this daemon executes simulations itself; a coordinator
-// scrapes its workers for execution metrics and exposes its own queue
-// and job series here.
+// and a per-scheme run-latency histogram with classic cumulative `le`
+// buckets, whose _count and _sum are the simulations executed (cache hits
+// excluded) and their busy seconds. Counters move only when this daemon
+// executes simulations itself; a coordinator scrapes its workers for
+// execution metrics and exposes its own queue and job series here.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	st := s.opts.Store.Stats()
 	byState, runsDone := s.jobCounts()
-	engines, schemes := s.ex.Metrics().Snapshot()
 
 	var b strings.Builder
 	head := func(name, typ, help string) {
@@ -60,28 +59,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	head("raccd_store_objects", "gauge", "Results currently stored.")
 	fmt.Fprintf(&b, "raccd_store_objects %d\n", st.Objects)
 
-	engineNames := sortedNames(engines)
-	head("raccd_engine_sims_total", "counter", "Simulations executed, by execution engine (cache hits excluded).")
-	for _, name := range engineNames {
-		fmt.Fprintf(&b, "raccd_engine_sims_total{engine=%q} %d\n", name, engines[name].Sims)
-	}
-	head("raccd_engine_busy_seconds_total", "counter", "Wall-clock seconds spent executing simulations, by engine.")
-	for _, name := range engineNames {
-		fmt.Fprintf(&b, "raccd_engine_busy_seconds_total{engine=%q} %s\n", name, promFloat(engines[name].Seconds))
-	}
-	head("raccd_engine_sims_per_second", "gauge", "Executed-simulation throughput over the engine's own busy time.")
-	for _, name := range engineNames {
-		fmt.Fprintf(&b, "raccd_engine_sims_per_second{engine=%q} %s\n", name, promFloat(engines[name].SimsPerSec()))
-	}
-	head("raccd_engine_gen_seconds_total", "counter", "Engine-internal speculative-generation wall seconds (epoch engine; summed across shard workers).")
-	for _, name := range engineNames {
-		fmt.Fprintf(&b, "raccd_engine_gen_seconds_total{engine=%q} %s\n", name, promFloat(engines[name].GenSeconds))
-	}
-	head("raccd_engine_commit_seconds_total", "counter", "Engine-internal serial-commit wall seconds (epoch engine's Amdahl bottleneck).")
-	for _, name := range engineNames {
-		fmt.Fprintf(&b, "raccd_engine_commit_seconds_total{engine=%q} %s\n", name, promFloat(engines[name].CommitSeconds))
-	}
-
 	backends := s.coord.BackendStatuses()
 	head("raccd_fabric_backend_up", "gauge", "Backend health as of the last probe (Local backends are always up).")
 	for _, bs := range backends {
@@ -109,7 +86,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&b, "raccd_prefetch_late_total %d\n", pf.Late)
 
 	head("raccd_run_latency_seconds", "histogram", "Latency of executed simulations, by coherence scheme.")
-	writeHistograms(&b, "raccd_run_latency_seconds", "scheme", schemes)
+	writeHistograms(&b, "raccd_run_latency_seconds", "scheme", s.ex.Metrics().SchemeSnapshot())
 
 	head("raccd_job_phase_seconds", "histogram", "Per-job wall time by phase (queue_wait, build, exec, store, fabric_rtt), observed at job completion.")
 	writeHistograms(&b, "raccd_job_phase_seconds", "phase", s.ex.Metrics().PhaseSnapshot())

@@ -301,3 +301,30 @@ func TestSubmitBodyBounds(t *testing.T) {
 		t.Fatalf("batch of %d bytes at the run limit: status %d, want 202", len(body), code)
 	}
 }
+
+// TestRetiredEngineFieldsIgnored: requests from older clients may still
+// carry the removed engine/shards fields. They decode and are ignored —
+// results never depended on them — so such runs and sweeps complete.
+func TestRetiredEngineFieldsIgnored(t *testing.T) {
+	_, _, url := startCounted(t, Options{})
+	c := client.New(url)
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/runs", `{"workload":"MD5","scale":0.05,"system":"RaCCD","engine":"epoch","shards":2}`},
+		{"/v1/sweeps", `{"workloads":["MD5"],"systems":["PT"],"ratios":[1],"scale":0.05,"engine":"seq","shards":0}`},
+	} {
+		path := tc.path
+		resp, err := http.Post(url+path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st client.Status
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted || err != nil {
+			t.Fatalf("%s: status %d (decode %v), want 202", path, resp.StatusCode, err)
+		}
+		if fin, err := c.Wait(context.Background(), st.ID, nil); err != nil || fin.State != "done" {
+			t.Fatalf("%s: %v, %+v", path, err, fin)
+		}
+	}
+}

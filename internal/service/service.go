@@ -5,7 +5,7 @@
 //     per-job append-only event log that makes SSE streams lossless.
 //   - exec (internal/service/exec): materializes validated wire requests
 //     into sim.Configs and runs them through the result store and the
-//     runner pool; owns the per-engine and per-scheme execution counters.
+//     runner pool; owns the per-scheme and per-phase execution counters.
 //   - store (internal/service/store): the narrow result-store interface
 //     the layers above depend on (*resultstore.Store is the
 //     implementation), giving offline sweeps and served runs one cache.
@@ -48,7 +48,6 @@ import (
 
 	"raccd/client"
 	"raccd/internal/obs"
-	"raccd/internal/rts"
 	"raccd/internal/service/exec"
 	"raccd/internal/service/fabric"
 	"raccd/internal/service/queue"
@@ -111,14 +110,6 @@ type Options struct {
 	// simulations than this (default 100000). It also bounds submission
 	// bodies, at maxBodyPerRun bytes per run: larger bodies get 413.
 	MaxSweepRuns int
-	// Engine and Shards select the default per-simulation execution
-	// engine for requests that do not name one: "" or "seq" runs each
-	// simulation on one goroutine, "epoch" spreads it across Shards
-	// workers (0 → one per host CPU). Engines are metric-identical and
-	// excluded from the result-cache key, so this knob never changes
-	// what a client receives — only how the server spends its CPUs.
-	Engine string
-	Shards int
 	// Workers turns the daemon into a coordinator: every run is executed
 	// on one of these raccdd base URLs instead of in-process, partitioned
 	// by rendezvous hash. The URL is the backend's rendezvous name — keep
@@ -176,9 +167,6 @@ func New(opts Options) (*Server, error) {
 	}
 	if opts.MaxSweepRuns <= 0 {
 		opts.MaxSweepRuns = 100000
-	}
-	if _, err := rts.ParseEngine(opts.Engine, opts.Shards); err != nil {
-		return nil, fmt.Errorf("service: %w", err)
 	}
 	if opts.Logger == nil {
 		opts.Logger = obs.Nop()
@@ -318,7 +306,7 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, 1, &req) {
 		return
 	}
-	spec, err := fabric.NewSpec(req, s.opts.Engine, s.opts.Shards)
+	spec, err := fabric.NewSpec(req)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -359,7 +347,7 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, s.opts.MaxSweepRuns, &req) {
 		return
 	}
-	m, err := exec.BuildMatrix(req, s.opts.Engine, s.opts.Shards)
+	m, err := exec.BuildMatrix(req)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -554,40 +542,18 @@ type StatsSnapshot struct {
 	RunsCompleted uint64         `json:"runs_completed"`
 	SimsRun       uint64         `json:"sims_run"`
 	SimsPerSec    float64        `json:"sims_per_sec"`
-	// Engine and Shards echo the server's default execution engine
-	// (Options.Engine/Shards; "seq" when unset). EngineSims breaks the
-	// simulations this server executed down by the engine that ran
-	// them, with per-engine throughput over the engine's own busy time
-	// — on a multi-core host this is what shows whether epoch sharding
-	// is paying off.
-	Engine       string                `json:"engine"`
-	Shards       int                   `json:"shards,omitempty"`
-	EngineSims   map[string]EngineSims `json:"engine_sims,omitempty"`
-	CacheHits    uint64                `json:"cache_hits"`
-	CacheMisses  uint64                `json:"cache_misses"`
-	CacheHitRate float64               `json:"cache_hit_rate"`
-	CacheBytes   uint64                `json:"cache_bytes"`
-	CacheObjects int                   `json:"cache_objects"`
-	CacheEvicted uint64                `json:"cache_evictions"`
+	CacheHits     uint64         `json:"cache_hits"`
+	CacheMisses   uint64         `json:"cache_misses"`
+	CacheHitRate  float64        `json:"cache_hit_rate"`
+	CacheBytes    uint64         `json:"cache_bytes"`
+	CacheObjects  int            `json:"cache_objects"`
+	CacheEvicted  uint64         `json:"cache_evictions"`
 	// Prefetch totals summed over every simulation this server executed
 	// (cache hits don't move them); zero and omitted while no run armed
 	// a prefetcher via core/prefetch_degree request fields.
 	PrefetchIssued uint64 `json:"prefetch_issued,omitempty"`
 	PrefetchUseful uint64 `json:"prefetch_useful,omitempty"`
 	PrefetchLate   uint64 `json:"prefetch_late,omitempty"`
-}
-
-// EngineSims is one engine's row of StatsSnapshot.EngineSims.
-type EngineSims struct {
-	Sims       uint64  `json:"sims"`         // simulations executed by this engine
-	Seconds    float64 `json:"seconds"`      // wall-clock time spent in them
-	SimsPerSec float64 `json:"sims_per_sec"` // Sims / Seconds
-	// GenSeconds/CommitSeconds split the engine's wall time into
-	// speculative generation and serial commit where the engine reports
-	// one (epoch); omitted for seq. CommitSeconds/Seconds is the serial
-	// fraction that bounds epoch speedup.
-	GenSeconds    float64 `json:"gen_seconds,omitempty"`
-	CommitSeconds float64 `json:"commit_seconds,omitempty"`
 }
 
 // jobCounts tallies jobs by state and completed runs across all jobs.
@@ -606,18 +572,12 @@ func (s *Server) Stats() StatsSnapshot {
 	st := s.opts.Store.Stats()
 	byState, runsDone := s.jobCounts()
 	up := time.Since(s.start).Seconds()
-	engine := s.opts.Engine
-	if engine == "" {
-		engine = "seq"
-	}
 	snap := StatsSnapshot{
 		UptimeSeconds: up,
 		QueueDepth:    s.q.Depth(),
 		Jobs:          byState,
 		RunsCompleted: uint64(runsDone),
 		SimsRun:       st.Misses,
-		Engine:        engine,
-		Shards:        s.opts.Shards,
 		CacheHits:     st.Hits + st.Coalesced,
 		CacheMisses:   st.Misses,
 		CacheHitRate:  st.HitRate(),
@@ -630,19 +590,6 @@ func (s *Server) Stats() StatsSnapshot {
 	}
 	pf := s.ex.Metrics().Prefetch()
 	snap.PrefetchIssued, snap.PrefetchUseful, snap.PrefetchLate = pf.Issued, pf.Useful, pf.Late
-	engines, _ := s.ex.Metrics().Snapshot()
-	if len(engines) > 0 {
-		snap.EngineSims = make(map[string]EngineSims, len(engines))
-		for name, es := range engines {
-			snap.EngineSims[name] = EngineSims{
-				Sims:          es.Sims,
-				Seconds:       es.Seconds,
-				SimsPerSec:    es.SimsPerSec(),
-				GenSeconds:    es.GenSeconds,
-				CommitSeconds: es.CommitSeconds,
-			}
-		}
-	}
 	return snap
 }
 

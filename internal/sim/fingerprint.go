@@ -74,8 +74,6 @@ var fingerprintFields = map[string]string{
 // raccdvet.
 var fingerprintExcluded = map[string]string{
 	"Validate": "toggles golden checking, not metrics: a validated and an unvalidated run return the same Result",
-	"Engine":   "host execution strategy; metric-identical by contract (TestEngineEquivalence), so engines share cache entries",
-	"Shards":   "host parallelism knob of the epoch engine; same equivalence contract as Engine",
 }
 
 // Fingerprint returns the canonical identity of the simulated machine this
@@ -97,15 +95,11 @@ var fingerprintExcluded = map[string]string{
 //   - Field-order-independent: fields are emitted as sorted key=value
 //     pairs, so the rendering never depends on struct layout.
 //   - Complete over result-affecting fields: every Config field and every
-//     Params field except Validate, Engine and Shards is covered. Validate
-//     toggles golden checking, not metrics — a validated and an
-//     unvalidated run of the same machine return the same Result, so they
-//     intentionally share a fingerprint. Engine and Shards select the host
-//     execution strategy, which is metric-identical by contract (the
-//     equivalence property tests pin it), so a result computed by one
-//     engine is served from cache to every other — deliberately excluded.
-//     TestFingerprintCoversAllFields pins the field counts so a new field
-//     cannot be forgotten silently.
+//     Params field except Validate is covered. Validate toggles golden
+//     checking, not metrics — a validated and an unvalidated run of the
+//     same machine return the same Result, so they intentionally share a
+//     fingerprint. TestFingerprintCoversAllFields pins the field counts so
+//     a new field cannot be forgotten silently.
 func (c Config) Fingerprint() string {
 	if c.Params.Cores == 0 {
 		c.Params = coherence.DefaultParams()

@@ -73,16 +73,6 @@ func TestFingerprintCanonical(t *testing.T) {
 	if v.Fingerprint() != base.Fingerprint() {
 		t.Error("Validate must not change the fingerprint")
 	}
-	// Engine and Shards select the host execution strategy; engines are
-	// metric-identical by contract, so a cached result computed by one
-	// engine must be shared with every other — they are deliberately not
-	// part of the fingerprint.
-	e := base
-	e.Engine = "epoch"
-	e.Shards = 8
-	if e.Fingerprint() != base.Fingerprint() {
-		t.Error("Engine/Shards must not change the fingerprint (cached results are shared across engines)")
-	}
 	// Stability: the same value twice.
 	if base.Fingerprint() != base.Fingerprint() {
 		t.Error("fingerprint is not stable")
@@ -105,6 +95,45 @@ func TestFingerprintCanonical(t *testing.T) {
 	p2.PrefetchDegree, p2.PrefetchDistance = 2, 4 // cpu.DefaultPrefetchDistance
 	if p1.Fingerprint() != p2.Fingerprint() {
 		t.Error("degree 2 and degree 2/distance 4 (the default) must fingerprint identically")
+	}
+}
+
+// TestFingerprintPinned pins the full canonical form of two configs, so
+// any change to the rendering (a renamed key, a new normalization, a field
+// removed from the struct) shows up as a literal diff rather than as a
+// silent miss for every object already in a result store. The first is
+// the paper16 Fig 2 configuration; the second sets every fingerprinted
+// knob away from its default.
+func TestFingerprintPinned(t *testing.T) {
+	every := DefaultConfig(coherence.RaCCD, 1)
+	every.Params = machine.Machine64().Params()
+	every.ADR = true
+	every.SMTWays = 2
+	every.Core = "ooo"
+	every.PrefetchDegree, every.PrefetchDistance = 2, 4
+	every.Params.NCRTEntries = 64
+	every.Params.NCRTLookupCycles = 3
+	every.Params.Contiguity = 0.5
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"paper16-raccd-1:16", DefaultConfig(coherence.RaCCD, 16),
+			"cfg/v3 adr=false compute=8 contig=1 core=simple cores=16 dirminsets=1 dirratio=16 dirsets=256 dirways=8 " +
+				"l1hit=2 l1sets=64 l1ways=2 llccyc=15 llcsets=256 llcways=8 memcyc=160 meshh=4 meshw=4 ncrt=32 ncrtlat=1 " +
+				"noc=mesh pfdeg=0 pfdist=0 sched=fifo seed=1 smt=1 system=RaCCD tlb=64 wt=false"},
+		{"m64-every-knob", every,
+			"cfg/v3 adr=true compute=8 contig=0.5 core=ooo cores=64 dirminsets=1 dirratio=1 dirsets=256 dirways=8 " +
+				"l1hit=2 l1sets=64 l1ways=2 llccyc=15 llcsets=256 llcways=8 memcyc=160 meshh=8 meshw=8 ncrt=64 ncrtlat=3 " +
+				"noc=mesh pfdeg=2 pfdist=4 sched=fifo seed=1 smt=2 system=RaCCD tlb=64 wt=false"},
+	} {
+		if err := tc.cfg.Check(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := tc.cfg.Fingerprint(); got != tc.want {
+			t.Errorf("%s:\n got %q\nwant %q", tc.name, got, tc.want)
+		}
 	}
 }
 
@@ -145,8 +174,8 @@ func TestFingerprintSensitive(t *testing.T) {
 // to extend Fingerprint (and bump fingerprintVersion if the canonical
 // form changes meaning).
 func TestFingerprintCoversAllFields(t *testing.T) {
-	if n := reflect.TypeOf(Config{}).NumField(); n != 13 {
-		t.Errorf("sim.Config has %d fields, Fingerprint was written for 13 (11 covered + Engine/Shards deliberately excluded) — extend it and update this count", n)
+	if n := reflect.TypeOf(Config{}).NumField(); n != 11 {
+		t.Errorf("sim.Config has %d fields, Fingerprint was written for 11 (10 covered + Validate deliberately excluded) — extend it and update this count", n)
 	}
 	if n := reflect.TypeOf(coherence.Params{}).NumField(); n != 20 {
 		t.Errorf("coherence.Params has %d fields, Fingerprint was written for 20 — extend it and update this count", n)

@@ -6,7 +6,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"raccd/internal/coherence"
 	"raccd/internal/core"
@@ -50,21 +49,12 @@ type Config struct {
 	// threads on a core share its L1 and NCRT (entries tagged by thread),
 	// and recovery flushes are per-thread. 0 or 1 disables SMT.
 	SMTWays int
-	// Engine selects the host execution strategy: "" or "seq" (the
-	// sequential reference), or "epoch" (shard workers pre-execute task
-	// bodies across host CPUs). Engines are metric-identical by contract —
-	// Engine and Shards change how fast a run finishes, never what it
-	// computes — so neither participates in Fingerprint.
-	Engine string
-	// Shards is the worker count for Engine "epoch" (0 → one per host
-	// CPU). Must be 0 for the seq engine.
-	Shards int
 	// Core selects the core-timing model: "" or "simple" (the classic
 	// fixed-cost core, the golden-pinned seed behaviour) or "ooo" (a
 	// 32-entry-window out-of-order core that overlaps independent access
-	// latencies). Unlike Engine, a core model changes the simulated
-	// machine — cycles, and through prefetch even traffic — so all three
-	// timing knobs participate in Fingerprint (cfg/v3).
+	// latencies). A core model changes the simulated machine — cycles,
+	// and through prefetch even traffic — so all three timing knobs
+	// participate in Fingerprint (cfg/v3).
 	Core string
 	// PrefetchDegree enables a delta-pattern stride prefetcher on every
 	// core: each trained trigger fetches this many blocks (0 disables).
@@ -139,9 +129,6 @@ func (c Config) Check() error {
 	if c.ADR && c.System == coherence.FullCoh {
 		return fmt.Errorf("sim: ADR requires a coherence-deactivation system (PT or RaCCD)")
 	}
-	if _, err := rts.ParseEngine(c.Engine, c.Shards); err != nil {
-		return err
-	}
 	if err := c.cpuConfig(params).Check(); err != nil {
 		return err
 	}
@@ -207,17 +194,6 @@ type Result struct {
 	PrefetchLate     uint64  `json:",omitempty"`
 	PrefetchCoverage float64 `json:",omitempty"`
 
-	// Host-side wall times of this run: how long rt.Run took on the
-	// simulating machine, split into the engine's speculative-generation
-	// and serial-commit phases when the engine reports one (epoch; zero
-	// for seq). These are measurements of the host, not the simulated
-	// machine — nondeterministic, so excluded from JSON (a cached result
-	// must not replay another host's timings) and zeroed alongside
-	// Hierarchy in engine-equivalence comparisons.
-	EngineRunSeconds    float64 `json:"-"`
-	EngineGenSeconds    float64 `json:"-"`
-	EngineCommitSeconds float64 `json:"-"`
-
 	Hierarchy rts.Machine `json:"-"` // retained for test inspection
 	HStats    coherence.Stats
 	RStats    rts.Stats
@@ -231,7 +207,18 @@ func Run(w Workload, cfg Config) (Result, error) {
 // RunContext is Run with cancellation: the runtime polls ctx at every task
 // dispatch, so even a single long simulation — not just a sweep — stops
 // promptly when ctx is cancelled, returning ctx's error.
-func RunContext(ctx context.Context, w Workload, cfg Config) (Result, error) {
+//
+// A panic inside the run — a workload storing outside its declared
+// ranges under Validate, or a model invariant tripping — is returned as
+// the run's error rather than unwinding the caller, so one bad run
+// (say, a mis-annotated trace in a daemon's sweep) fails alone instead
+// of taking down every goroutine pool above it.
+func RunContext(ctx context.Context, w Workload, cfg Config) (res Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			res, err = Result{}, fmt.Errorf("sim: %s/%v: %v", w.Name(), cfg.System, p)
+		}
+	}()
 	if err := cfg.Check(); err != nil {
 		return Result{}, err
 	}
@@ -302,18 +289,10 @@ func RunContext(ctx context.Context, w Workload, cfg Config) (Result, error) {
 		}
 	}
 	rt.StrictAnnotations = cfg.Validate
-	// Check validated the pair above, so this cannot fail here.
-	eng, err := rts.ParseEngine(cfg.Engine, cfg.Shards)
-	if err != nil {
-		return Result{}, err
-	}
-	rt.Engine = eng
 	if ctx.Done() != nil {
 		rt.Cancel = ctx.Err
 	}
-	runStart := time.Now() //raccd:detsource-ok host wall time for Result.EngineRunSeconds, a json:"-" artifact outside every metric path
 	cycles := rt.Run(g)
-	runWall := time.Since(runStart)
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
@@ -343,7 +322,7 @@ func RunContext(ctx context.Context, w Workload, cfg Config) (Result, error) {
 
 	dir := h.Dir()
 	hs := h.Stats
-	res := Result{
+	res = Result{
 		Workload:     w.Name(),
 		System:       cfg.System,
 		DirRatio:     cfg.DirRatio,
@@ -359,10 +338,6 @@ func RunContext(ctx context.Context, w Workload, cfg Config) (Result, error) {
 		TasksRun:     rt.Stats.TasksRun,
 		GraphEdges:   g.NumEdges(),
 		ADRFinalSets: dir.SetsPerBank(),
-
-		EngineRunSeconds:    runWall.Seconds(),
-		EngineGenSeconds:    rt.EnginePhases.GenSeconds,
-		EngineCommitSeconds: rt.EnginePhases.CommitSeconds,
 
 		Hierarchy: h,
 		HStats:    hs,

@@ -4,7 +4,6 @@ import (
 	"raccd/internal/cpu"
 	"raccd/internal/machine"
 	"raccd/internal/report"
-	"raccd/internal/rts"
 )
 
 // Machine describes the simulated chip: core count, mesh geometry, per-tile
@@ -103,9 +102,9 @@ func WithoutValidation() Option { return func(c *Config) { c.Validate = false } 
 
 // WithCoreModel selects the core-timing model: "simple" (the fixed-cost
 // core the paper models — the default) or "ooo" (a 32-entry-window
-// out-of-order core that overlaps independent access latencies). Unlike
-// WithEngine, a core model changes the simulated machine — it is part of
-// the fingerprint (cfg/v3) and keys the result cache. See docs/MACHINE.md.
+// out-of-order core that overlaps independent access latencies). A core
+// model changes the simulated machine — it is part of the fingerprint
+// (cfg/v3) and keys the result cache. See docs/MACHINE.md.
 func WithCoreModel(name string) Option { return func(c *Config) { c.Machine.Core = name } }
 
 // WithPrefetch arms a delta-pattern stride prefetcher on every core:
@@ -122,19 +121,6 @@ func WithPrefetch(degree, distance int) Option {
 
 // CoreModelNames returns the recognized core-timing model names.
 func CoreModelNames() []string { return cpu.Names() }
-
-// WithEngine selects the host execution strategy ("seq" or "epoch").
-// Engines are metric-identical — the knob trades host CPUs for wall time,
-// never changing the Result — so it does not enter the fingerprint and
-// cached results are shared across engines. See docs/ENGINE.md.
-func WithEngine(name string) Option { return func(c *Config) { c.Engine = name } }
-
-// WithShards sets the epoch engine's worker count (0 → one per host CPU).
-// Compose with WithEngine("epoch"); the seq engine takes no shards.
-func WithShards(n int) Option { return func(c *Config) { c.Shards = n } }
-
-// EngineNames returns the recognized execution engine names.
-func EngineNames() []string { return rts.EngineNames() }
 
 // MachineResultSet pairs one machine with the results of a sweep on it.
 type MachineResultSet = report.MachineSet
