@@ -55,12 +55,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		addr       = fs.String("addr", ":8080", "listen address")
 		cacheDir   = fs.String("cache", "", "result cache directory (default: a fresh temp dir)")
 		maxCacheMB = fs.Uint64("max-cache-mb", 0, "cache size bound in MiB (0 = unbounded)")
-		jobs       = fs.Int("jobs", 0, "concurrent simulations per job (0 = one per CPU)")
+		jobs       = fs.Int("jobs", 0, "runs in flight per backend, shared by all jobs (0 = one per CPU in-process, 4 per worker)")
 		jobWorkers = fs.Int("job-workers", 2, "jobs executed concurrently")
 		queueDepth = fs.Int("queue", 64, "max queued jobs before submissions get 503")
 		drain      = fs.Duration("drain", 30*time.Second, "shutdown deadline for in-flight jobs")
 		workers    = fs.String("workers", "", "comma-separated worker raccdd URLs; runs execute on the fleet instead of in-process, partitioned by rendezvous hash")
-		inflight   = fs.Int("worker-inflight", 0, "max runs dispatched concurrently to each worker (0 = default)")
 		logLevel   = fs.String("log-level", "info", "minimum log level: debug, info, warn or error (debug adds a line per executed run)")
 		pprofAddr  = fs.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
 	)
@@ -93,16 +92,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return serve(ctx, serveOptions{
-		cacheDir:       dir,
-		maxBytes:       *maxCacheMB << 20,
-		simJobs:        *jobs,
-		jobWorkers:     *jobWorkers,
-		queueDepth:     *queueDepth,
-		drain:          *drain,
-		workers:        splitList(*workers),
-		workerInFlight: *inflight,
-		logLevel:       level,
-		pprofAddr:      *pprofAddr,
+		cacheDir:   dir,
+		maxBytes:   *maxCacheMB << 20,
+		inFlight:   *jobs,
+		jobWorkers: *jobWorkers,
+		queueDepth: *queueDepth,
+		drain:      *drain,
+		workers:    splitList(*workers),
+		logLevel:   level,
+		pprofAddr:  *pprofAddr,
 	}, ln, stdout, stderr)
 }
 
@@ -120,16 +118,15 @@ func splitList(s string) []string {
 
 // serveOptions carries the resolved daemon configuration.
 type serveOptions struct {
-	cacheDir       string
-	maxBytes       uint64
-	simJobs        int
-	jobWorkers     int
-	queueDepth     int
-	drain          time.Duration
-	workers        []string
-	workerInFlight int
-	logLevel       slog.Level
-	pprofAddr      string
+	cacheDir   string
+	maxBytes   uint64
+	inFlight   int
+	jobWorkers int
+	queueDepth int
+	drain      time.Duration
+	workers    []string
+	logLevel   slog.Level
+	pprofAddr  string
 }
 
 // pprofMux builds a mux exposing the standard /debug/pprof endpoints.
@@ -169,13 +166,12 @@ func serve(ctx context.Context, opts serveOptions, ln net.Listener, stdout, stde
 	}
 	store.MaxBytes = opts.maxBytes
 	svc, err := service.New(service.Options{
-		Store:          store,
-		SimJobs:        opts.simJobs,
-		JobWorkers:     opts.jobWorkers,
-		QueueDepth:     opts.queueDepth,
-		Workers:        opts.workers,
-		WorkerInFlight: opts.workerInFlight,
-		Logger:         logger,
+		Store:      store,
+		InFlight:   opts.inFlight,
+		JobWorkers: opts.jobWorkers,
+		QueueDepth: opts.queueDepth,
+		Workers:    opts.workers,
+		Logger:     logger,
 	})
 	if err != nil {
 		logger.Error("startup failed", "err", err.Error())

@@ -220,7 +220,7 @@ func TestCoordinatorModeEndToEnd(t *testing.T) {
 	coordOpts := base
 	coordOpts.cacheDir = t.TempDir()
 	coordOpts.workers = urls
-	coordOpts.workerInFlight = 2
+	coordOpts.inFlight = 2
 	coordURL, coordCodec := startDaemon(t, ctx, coordOpts)
 	codecs = append(codecs, coordCodec)
 

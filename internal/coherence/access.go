@@ -4,7 +4,6 @@ import (
 	"raccd/internal/cache"
 	"raccd/internal/mem"
 	"raccd/internal/noc"
-	"raccd/internal/trace"
 )
 
 // --- main access path ---
@@ -76,11 +75,9 @@ func (h *Hierarchy) AccessT(c, tid int, va mem.Addr, write bool, val uint64) (la
 
 	if nonCoh {
 		h.Stats.NCFills++
-		h.event(trace.NCFill, c, b, uint64(tid))
 		latency += h.ncFill(c, tid, b, write, val)
 	} else {
 		h.Stats.CohFills++
-		h.event(trace.CohFill, c, b, 0)
 		latency += h.cohFill(c, b, write, val)
 	}
 	return latency

@@ -35,7 +35,6 @@ import (
 	"raccd/internal/directory"
 	"raccd/internal/mem"
 	"raccd/internal/noc"
-	"raccd/internal/trace"
 	"raccd/internal/vm"
 )
 
@@ -218,11 +217,6 @@ type Hierarchy struct {
 	// access stream (the monitor also runs on directory events).
 	adrCounter uint64
 
-	// Tracer, when non-nil, records protocol events (fills, writebacks,
-	// recalls, flushes, flips, reconfigurations) for offline inspection.
-	// Tracing never changes simulation results.
-	Tracer *trace.Buffer
-
 	// DirAccessEnergyWeighted integrates per-access directory energy under
 	// a time-varying capacity (ADR); the per-access cost is supplied by
 	// EnergyPerDirAccess, set by the simulator.
@@ -230,13 +224,6 @@ type Hierarchy struct {
 	EnergyPerDirAccess      func(capacityEntries int) float64
 
 	Stats Stats
-}
-
-// event records a trace event if tracing is enabled.
-func (h *Hierarchy) event(k trace.Kind, core int, b mem.Block, aux uint64) {
-	if h.Tracer != nil {
-		h.Tracer.Record(trace.Event{Time: h.Stats.Accesses, Kind: k, Core: core, Block: b, Aux: aux})
-	}
 }
 
 // New builds a hierarchy in the given mode.

@@ -4,7 +4,6 @@ import (
 	"raccd/internal/cache"
 	"raccd/internal/mem"
 	"raccd/internal/noc"
-	"raccd/internal/trace"
 )
 
 // --- non-coherent path (§III-C3) ---
@@ -82,7 +81,6 @@ func (h *Hierarchy) InvalidateNCT(c, tid int) (latency uint64) {
 			return
 		}
 		h.Stats.FlushedNC++
-		h.event(trace.RecoveryFlush, c, ln.Block, uint64(tid))
 		if ln.Dirty {
 			h.Stats.FlushedNCDirty++
 			h.writebackToLLC(c, ln.Block, ln.Val)
@@ -102,7 +100,6 @@ func (h *Hierarchy) MigrateThread(tid, src, dst int) (latency uint64) {
 	if h.Mode != RaCCD || src == dst {
 		return 0
 	}
-	h.event(trace.ThreadMigrate, src, 0, uint64(dst))
 	ivs := h.ncrts[src].Take(tid)
 	latency += uint64(h.l1[src].Capacity())
 	h.l1[src].Walk(func(ln *cache.Line) {

@@ -6,7 +6,6 @@ import (
 	"raccd/internal/directory"
 	"raccd/internal/mem"
 	"raccd/internal/noc"
-	"raccd/internal/trace"
 )
 
 // --- coherent path ---
@@ -156,7 +155,6 @@ func (h *Hierarchy) dirAllocate(c int, b mem.Block) (latency uint64, entry *dire
 	victim, entry := h.dir.Allocate(b)
 	if victim.Valid {
 		h.Stats.DirVictimRecalls++
-		h.event(trace.DirRecall, -1, victim.Block, 0)
 		latency += h.processDirVictim(victim)
 	}
 	return latency, entry
@@ -208,7 +206,6 @@ func (h *Hierarchy) writebackToLLC(c int, b mem.Block, val uint64) {
 	home := h.bankOf(b)
 	h.mesh.Send(c, home, noc.Data)
 	h.Stats.L1Writebacks++
-	h.event(trace.Writeback, c, b, 0)
 	if lline, ok := h.llc[home].Peek(b); ok {
 		lline.Val = val
 		lline.Dirty = true
@@ -287,7 +284,6 @@ func (h *Hierarchy) handleLLCVictim(bank int, victim cache.Line) {
 // and the TLB entries of the page in the first core").
 func (h *Hierarchy) ptFlipFlush(c int, flip *classify.Flip) (latency uint64) {
 	h.Stats.PTFlips++
-	h.event(trace.PTFlip, c, 0, uint64(flip.Page))
 	prev := flip.PrevOwner
 	// The page's physical frame: translate without charging the TLB.
 	pp, ok := h.pageTable.Lookup(flip.Page)
@@ -316,7 +312,6 @@ func (h *Hierarchy) ptFlipFlush(c int, flip *classify.Flip) (latency uint64) {
 // untracked by the directory.
 func (h *Hierarchy) roFlipFlush(c int, vp mem.Page, flip *classify.ROFlip) (latency uint64) {
 	h.Stats.PTFlips++
-	h.event(trace.PTFlip, c, 0, uint64(flip.Page))
 	pp, ok := h.pageTable.Lookup(flip.Page)
 	if !ok {
 		return 0
@@ -357,11 +352,7 @@ func (h *Hierarchy) tickADR(bank int) {
 	if h.adr == nil {
 		return
 	}
-	before := h.dir.SetsPerBank()
 	dropped, _ := h.adr.Tick()
-	if h.dir.SetsPerBank() != before {
-		h.event(trace.ADRResize, -1, 0, uint64(h.dir.SetsPerBank()))
-	}
 	for _, e := range dropped {
 		h.Stats.ADRDropped++
 		h.processDirVictim(e)

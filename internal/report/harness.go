@@ -41,8 +41,7 @@ type Matrix struct {
 	// identity) and served from the store when present, simulated and
 	// stored otherwise. Figures, CSV and Progress output are byte-
 	// identical with or without a cache, warm or cold.
-	// *resultstore.Store is the canonical implementation.
-	Cache Cache
+	Cache *resultstore.Store
 	// Core, PrefetchDegree and PrefetchDistance override the machine's
 	// core-timing knobs for every run of the sweep (empty/zero leaves the
 	// Machine's own setting in place). They live on the Matrix — not only
@@ -59,13 +58,6 @@ type Matrix struct {
 	// kept only so the benchmark module in bench/, which cannot change in
 	// step with this package, still compiles.
 	OnSimulated func(_ string, system coherence.Mode, elapsed time.Duration, res sim.Result)
-}
-
-// Cache is the memoization seam of a Matrix: the subset of
-// *resultstore.Store a sweep needs. internal/service/store narrows the
-// full store to the same shape for the serving layers.
-type Cache interface {
-	GetOrCompute(key resultstore.Key, compute func() (sim.Result, error)) (sim.Result, bool, error)
 }
 
 // DefaultMatrix is the paper's full evaluation at the scaled problem sizes.

@@ -14,13 +14,16 @@
 //   - Versioned schema: every object carries a schema version and its own
 //     key string; mismatches read as misses, corruption is deleted.
 //   - Single-flight: concurrent GetOrCompute calls for one key run the
-//     simulation once; the other callers wait and share the result.
+//     simulation once; the other callers wait and share the result. A
+//     computation abandoned to its own caller's cancellation is not
+//     shared: the waiters compute afresh.
 //   - Size-bounded: when MaxBytes is set, least-recently-used objects are
 //     evicted after each write (recency is the object file's mtime, which
 //     Get refreshes on every hit).
 package resultstore
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -322,24 +325,41 @@ func (s *Store) evictLocked() {
 // callers can tell a store failure from a simulation failure.
 var ErrComputeFailed = errors.New("resultstore: compute failed")
 
+// testHookJoined, when set by a test, runs each time a caller joins
+// another caller's in-flight computation, before it waits on it.
+var testHookJoined func()
+
 // GetOrCompute returns the cached result for key, computing and storing
 // it on a miss. Concurrent calls for the same key are coalesced: exactly
 // one runs compute, the rest block and share its outcome (errors are
-// shared but never cached). The returned bool is true when the result
-// came from the cache or a coalesced computation rather than this
-// caller's own compute.
+// shared but never cached). The exception is a computation that ended
+// in context.Canceled or context.DeadlineExceeded: that is its own
+// caller's cancellation, not an outcome of the run, so each waiter
+// retries — joining a newer computation or running its own compute. The
+// returned bool is true when the result came from the cache or a
+// coalesced computation rather than this caller's own compute.
 func (s *Store) GetOrCompute(key Key, compute func() (sim.Result, error)) (sim.Result, bool, error) {
 	s.mu.Lock()
-	if f, inFlight := s.flight[key.hash]; inFlight {
+	for {
+		f, inFlight := s.flight[key.hash]
+		if !inFlight {
+			break
+		}
 		s.mu.Unlock()
+		if testHookJoined != nil {
+			testHookJoined()
+		}
 		<-f.done
-		if f.err != nil {
+		if f.err == nil {
+			s.mu.Lock()
+			s.stats.Coalesced++
+			s.mu.Unlock()
+			return f.res, true, nil
+		}
+		if !errors.Is(f.err, context.Canceled) && !errors.Is(f.err, context.DeadlineExceeded) {
 			return sim.Result{}, false, f.err
 		}
 		s.mu.Lock()
-		s.stats.Coalesced++
-		s.mu.Unlock()
-		return f.res, true, nil
 	}
 	// Not in flight: claim it before probing the disk, so a concurrent
 	// caller coalesces instead of double-reading.
@@ -355,7 +375,7 @@ func (s *Store) GetOrCompute(key Key, compute func() (sim.Result, error)) (sim.R
 	}
 	res, err := compute()
 	if err != nil {
-		f.err = fmt.Errorf("%w: %v", ErrComputeFailed, err)
+		f.err = fmt.Errorf("%w: %w", ErrComputeFailed, err)
 		s.finish(key.hash, f)
 		return sim.Result{}, false, err
 	}

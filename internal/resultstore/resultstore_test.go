@@ -1,6 +1,7 @@
 package resultstore
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -301,6 +302,73 @@ func TestGetOrComputeErrorsSharedNotCached(t *testing.T) {
 	}
 	if computes.Load() != 2 {
 		t.Fatalf("computes = %d, want 2", computes.Load())
+	}
+}
+
+// joinThenFail runs a GetOrCompute for key whose compute, once a second
+// caller has joined it, fails with err. It returns the second caller's
+// outcome; the second caller's own compute returns a result named
+// "second".
+func joinThenFail(t *testing.T, s *Store, key Key, err error) (sim.Result, bool, error) {
+	t.Helper()
+	joined := make(chan struct{})
+	testHookJoined = sync.OnceFunc(func() { close(joined) })
+	defer func() { testHookJoined = nil }()
+	type outcome struct {
+		res    sim.Result
+		cached bool
+		err    error
+	}
+	second := make(chan outcome, 1)
+	_, _, firstErr := s.GetOrCompute(key, func() (sim.Result, error) {
+		go func() {
+			res, cached, err := s.GetOrCompute(key, func() (sim.Result, error) {
+				return sim.Result{Workload: "second"}, nil
+			})
+			second <- outcome{res, cached, err}
+		}()
+		<-joined
+		return sim.Result{}, err
+	})
+	if !errors.Is(firstErr, err) {
+		t.Fatalf("first caller err = %v, want %v", firstErr, err)
+	}
+	out := <-second
+	return out.res, out.cached, out.err
+}
+
+// TestGetOrComputeWaiterRetriesCancelledFlight: a caller that joined an
+// identical in-flight computation does not inherit that computation's
+// cancellation or deadline — the first caller's context is not its
+// own — so it runs its own compute and succeeds.
+func TestGetOrComputeWaiterRetriesCancelledFlight(t *testing.T) {
+	for _, cause := range []error{context.Canceled, context.DeadlineExceeded} {
+		s, err := Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, cached, err := joinThenFail(t, s, KeyOf("cfg", "wl"), cause)
+		if err != nil || cached || res.Workload != "second" {
+			t.Fatalf("%v: joined caller got workload %q cached=%v err=%v, want its own result", cause, res.Workload, cached, err)
+		}
+		if st := s.Stats(); st.Misses != 2 || st.Coalesced != 0 || st.Puts != 1 {
+			t.Fatalf("%v: stats %+v, want 2 misses, 0 coalesced, 1 put", cause, st)
+		}
+	}
+}
+
+// TestGetOrComputeWaiterSharesFailure: any other failure of the shared
+// computation is the run's own, so the joined caller gets it too — as
+// ErrComputeFailed wrapping the cause.
+func TestGetOrComputeWaiterSharesFailure(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	_, _, err = joinThenFail(t, s, KeyOf("cfg", "wl"), boom)
+	if !errors.Is(err, ErrComputeFailed) || !errors.Is(err, boom) {
+		t.Fatalf("joined caller err = %v, want ErrComputeFailed wrapping boom", err)
 	}
 }
 

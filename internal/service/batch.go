@@ -48,9 +48,9 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	s.enqueueAndRespond(w, j)
 }
 
-// runSpecs is the Execute body of batch and distributed-sweep jobs: the
-// coordinator scatters the specs across its backends and the merged set
-// renders as one CSV.
+// runSpecs is the Execute body of batch and sweep jobs: the coordinator
+// scatters the specs across its backends and the merged set renders as
+// one CSV.
 func (s *Server) runSpecs(specs []fabric.Spec) func(*queue.Job) (string, error) {
 	return func(j *queue.Job) (string, error) {
 		set, err := s.coord.Execute(s.jobCtx(j), specs, j.Progress)

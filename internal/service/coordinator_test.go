@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -427,4 +428,77 @@ func scrapeCounter(t *testing.T, text, name string) uint64 {
 	}
 	t.Fatalf("counter %s not in exposition", name)
 	return 0
+}
+
+// progressLines submits a job through submit, waits for it to finish
+// and returns its progress lines in stream order.
+func progressLines(t *testing.T, c *client.Client, submit func(context.Context) (client.Status, error)) []string {
+	t.Helper()
+	ctx := context.Background()
+	st, err := submit(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
+	fin, err := c.Wait(ctx, st.ID, func(e client.Event) {
+		if e.Type != "progress" {
+			return
+		}
+		var p struct {
+			Line string `json:"line"`
+		}
+		if err := json.Unmarshal(e.Data, &p); err != nil {
+			t.Errorf("progress payload %s: %v", e.Data, err)
+		}
+		lines = append(lines, p.Line)
+	})
+	if err != nil || fin.State != "done" {
+		t.Fatalf("%s job: %v, %+v", st.Kind, err, fin)
+	}
+	return lines
+}
+
+// TestSweepProgressMatchesBatch: a sweep is the batch of its matrix
+// cells, so on a warm plain daemon both stream the same progress lines —
+// cache hits tagged, and each ADR run's line carrying +ADR, so
+// `RaCCD 1:1` and `RaCCD+ADR 1:1` stay distinguishable.
+func TestSweepProgressMatchesBatch(t *testing.T) {
+	_, c := newTestServer(t, Options{})
+	sweep := func(ctx context.Context) (client.Status, error) { return c.SubmitSweep(ctx, goldenSweep()) }
+	progressLines(t, c, sweep) // cold: fills the store
+
+	m, err := exec.BuildMatrix(goldenSweep())
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs, err := fabric.SpecsFromMatrix(m, goldenSweep().Machine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := client.BatchRequest{}
+	for _, spec := range specs {
+		batch.Runs = append(batch.Runs, spec.Request)
+	}
+
+	swept := progressLines(t, c, sweep)
+	batched := progressLines(t, c, func(ctx context.Context) (client.Status, error) { return c.SubmitBatch(ctx, batch) })
+	if strings.Join(swept, "\n") != strings.Join(batched, "\n") {
+		t.Fatalf("warm sweep and batch progress differ:\n--- sweep ---\n%s\n--- batch ---\n%s",
+			strings.Join(swept, "\n"), strings.Join(batched, "\n"))
+	}
+	var adr int
+	for i, line := range swept {
+		if !strings.HasSuffix(line, " (cached)") {
+			t.Errorf("warm line %q is not tagged as a cache hit", line)
+		}
+		if specs[i].Request.ADR != strings.Contains(line, "+ADR") {
+			t.Errorf("line %q for run %+v: +ADR tag mismatch", line, specs[i].Request)
+		}
+		if strings.Contains(line, "+ADR") {
+			adr++
+		}
+	}
+	if adr != 4 {
+		t.Fatalf("%d lines carry +ADR, want 4 (PT and RaCCD on MD5 and Jacobi)", adr)
+	}
 }

@@ -1,11 +1,12 @@
 // Package exec is the execution layer of the simulation service: it
-// materializes validated wire requests into sim.Configs and runs them —
-// through the result store for global dedupe, through internal/runner
-// for sweep fan-out — returning exactly the CSV internal/report
-// produces. It sits below the transport (HTTP handlers, the fabric
-// Backend seam) and above the store; it owns the daemon's execution
-// counters (per-scheme run-latency histograms, per-phase job times,
-// prefetch totals) so the stats and /metrics endpoints are a pure read.
+// materializes wire requests into checked sim.Configs and sweep
+// matrices, and runs one simulation at a time through the result store
+// for global dedupe, returning exactly the CSV internal/report
+// produces. Fan-out across runs belongs to the fabric coordinator
+// above it, which calls Run once per run through its in-process Local
+// backend. exec owns the daemon's execution counters (per-scheme
+// run-latency histograms, per-phase job times, prefetch totals) so the
+// stats and /metrics endpoints are a pure read.
 package exec
 
 import (
@@ -19,28 +20,21 @@ import (
 	"raccd/internal/obs"
 	"raccd/internal/report"
 	"raccd/internal/resultstore"
-	"raccd/internal/service/store"
 	"raccd/internal/sim"
 	"raccd/internal/workloads"
 )
 
-// Executor runs validated requests. Create with New; safe for
-// concurrent use.
+// Executor runs checked configurations through a result store. Create
+// with New; safe for concurrent use.
 type Executor struct {
-	st store.Store
-	// simJobs is the per-sweep simulation parallelism (runner pool
-	// width); 0 selects one worker per CPU.
-	simJobs int
+	st      *resultstore.Store
 	metrics Metrics
 }
 
-// New returns an executor over st fanning sweeps across simJobs workers.
-func New(st store.Store, simJobs int) *Executor {
-	return &Executor{st: st, simJobs: simJobs}
+// New returns an executor over st.
+func New(st *resultstore.Store) *Executor {
+	return &Executor{st: st}
 }
-
-// Store returns the executor's result store.
-func (e *Executor) Store() store.Store { return e.st }
 
 // Metrics returns the executor's counters for snapshotting.
 func (e *Executor) Metrics() *Metrics { return &e.metrics }
@@ -83,9 +77,6 @@ func BuildConfig(r client.RunRequest, _ string, _ int) (sim.Config, error) {
 	}
 	cfg.Params.WriteThrough = r.WriteThrough
 	if r.Contiguity != 0 {
-		if r.Contiguity < 0 || r.Contiguity > 1 {
-			return sim.Config{}, fmt.Errorf("contiguity %g out of range [0, 1]", r.Contiguity)
-		}
 		cfg.Params.Contiguity = r.Contiguity
 	}
 	cfg.Validate = r.Validate == nil || *r.Validate
@@ -104,9 +95,10 @@ func BuildConfig(r client.RunRequest, _ string, _ int) (sim.Config, error) {
 	return cfg, cfg.Check()
 }
 
-// BuildMatrix materializes a sweep request as a checked report.Matrix.
-// Execution wiring (cache, parallelism, hooks) is left to Sweep, so the
-// matrix is safe to expand (Keys, NumRuns) without side effects.
+// BuildMatrix materializes a sweep request as a report.Matrix for the
+// service to expand (NumRuns, Keys) into runs. It rejects unknown
+// systems and machines; fabric.SpecsFromMatrix checks every cell the
+// matrix expands to.
 func BuildMatrix(r client.SweepRequest) (report.Matrix, error) {
 	m := report.DefaultMatrix()
 	m.ADR = r.ADR
@@ -138,37 +130,18 @@ func BuildMatrix(r client.SweepRequest) (report.Matrix, error) {
 	m.Core = r.Core
 	m.PrefetchDegree = r.PrefetchDegree
 	m.PrefetchDistance = r.PrefetchDistance
-	// Validate the matrix up front: every workload must resolve and every
-	// (system, ratio) cell must describe a runnable machine.
-	for _, name := range m.Workloads {
-		if _, err := workloads.Identity(name, m.Scale); err != nil {
-			return report.Matrix{}, err
-		}
-	}
-	for _, sys := range m.Systems {
-		for _, ratio := range m.Ratios {
-			cfg := sim.DefaultConfig(sys, ratio)
-			cfg.Params = mach.Params()
-			cfg.Core = m.Core
-			cfg.PrefetchDegree = m.PrefetchDegree
-			cfg.PrefetchDistance = m.PrefetchDistance
-			if err := cfg.Check(); err != nil {
-				return report.Matrix{}, err
-			}
-		}
-	}
 	return m, nil
 }
 
-// Run executes one simulation through the result store: the run is
-// keyed by (cfg.Fingerprint, identity), recalled when cached, computed
-// at most once per key otherwise (the store single-flights concurrent
-// identical calls). It returns the run's report CSV (header + one row)
-// and whether the result came from the cache. ctx aborts an in-flight
-// simulation at its next task dispatch.
-func (e *Executor) Run(ctx context.Context, cfg sim.Config, workload string, scale float64, identity string) (csv string, res sim.Result, cached bool, err error) {
+// Run executes one simulation of workload at scale on the checked cfg
+// through the result store: the run is recalled when key is cached and
+// computed at most once per key otherwise (the store single-flights
+// concurrent identical calls). key must be resultstore.KeyOf of cfg's
+// fingerprint and the workload's identity. It returns the run's report
+// CSV (header + one row) and whether the result came from the cache.
+// ctx aborts an in-flight simulation at its next task dispatch.
+func (e *Executor) Run(ctx context.Context, cfg sim.Config, key resultstore.Key, workload string, scale float64) (csv string, res sim.Result, cached bool, err error) {
 	ph := obs.PhasesFrom(ctx)
-	key := resultstore.KeyOf(cfg.Fingerprint(), identity)
 	// total−simWall is the store phase: get/put IO, hashing, and — for a
 	// coalesced caller — waiting on another goroutine's identical run.
 	start := time.Now()
@@ -205,26 +178,17 @@ func (e *Executor) Run(ctx context.Context, cfg sim.Config, workload string, sca
 	return report.NewSet([]sim.Result{res}).CSV(), res, cached, nil
 }
 
-// Sweep executes a whole matrix through the store and the runner pool,
-// returning the result set. The matrix's cache, parallelism and
-// simulation hook are wired here so every sweep a server executes feeds
-// the same counters.
-func (e *Executor) Sweep(ctx context.Context, m report.Matrix, progress func(string)) (*report.Set, error) {
-	m.Jobs = e.simJobs
-	m.Cache = e.st
-	m.Progress = progress
-	m.OnSimulated = func(_ string, sys coherence.Mode, d time.Duration, res sim.Result) {
-		e.metrics.Observe(sys, d, res)
-	}
-	return m.RunContext(ctx)
-}
-
-// RunLine formats the per-run progress line of a single-run job — the
-// same shape on a local daemon and forwarded through the fabric.
+// RunLine formats the progress line of one completed run — the same
+// line for runs, batches and sweeps, on a local daemon and forwarded
+// through the fabric. It renders the scheme the way report.Matrix
+// progress does (`RaCCD   +ADR 1:1`) and tags cache hits.
 func RunLine(res sim.Result, cached bool) string {
-	tag := ""
+	adr, tag := "", ""
+	if res.ADR {
+		adr = "+ADR"
+	}
 	if cached {
 		tag = " (cached)"
 	}
-	return fmt.Sprintf("%-9s %-8v 1:%-3d cycles=%d%s", res.Workload, res.System, res.DirRatio, res.Cycles, tag)
+	return fmt.Sprintf("%-9s %-8v%s 1:%-3d cycles=%d%s", res.Workload, res.System, adr, res.DirRatio, res.Cycles, tag)
 }

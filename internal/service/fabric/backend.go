@@ -1,9 +1,12 @@
-// Package fabric is the distribution layer of the simulation service:
-// a transport seam (Backend) over which one run executes either
-// in-process (Local, wrapping the exec layer) or on another raccdd
-// daemon (Remote, wrapping raccd/client), and a Coordinator that
-// partitions a batch of runs across backends by rendezvous-hashing each
-// run's (configuration fingerprint, workload identity) pair.
+// Package fabric is the distribution layer of the simulation service
+// and the only way raccdd executes runs: a transport seam (Backend)
+// over which one run executes either in-process (Local, wrapping the
+// exec layer) or on another raccdd daemon (Remote, wrapping
+// raccd/client), and a Coordinator that partitions runs, batches and
+// expanded sweeps across backends by rendezvous-hashing each run's
+// (configuration fingerprint, workload identity) pair. The coordinator
+// keeps at most a fixed number of runs in flight on each backend,
+// shared by every job it serves.
 //
 // The hashing is what makes dedupe global without any shared state:
 // identical runs — no matter which client submitted them, or when —
@@ -17,18 +20,24 @@ import (
 	"context"
 
 	"raccd/client"
-	"raccd/internal/obs"
+	"raccd/internal/resultstore"
 	"raccd/internal/service/exec"
+	"raccd/internal/sim"
 	"raccd/internal/workloads"
 )
 
-// Spec is one run of a batch: the wire request to forward plus the
-// identity pair the coordinator partitions and dedupes by. Build with
-// NewSpec so the pair is always the one the result store keys by.
+// Spec is one run of a batch: the wire request to forward, the checked
+// configuration it materializes to, and the identity pair the
+// coordinator partitions and dedupes by. Build with NewSpec so the pair
+// is always the one the result store keys by.
 type Spec struct {
-	// Request is the validated wire request every backend executes.
+	// Request is the validated wire request: Remote forwards it, Local
+	// reads its workload and scale.
 	Request client.RunRequest
-	// Fingerprint is sim.Config.Fingerprint of the materialized request.
+	// Config is the checked sim.Config the request materializes to;
+	// Local executes it.
+	Config sim.Config
+	// Fingerprint is Config.Fingerprint().
 	Fingerprint string
 	// Identity is workloads.Identity of the request's workload at its
 	// resolved scale.
@@ -51,7 +60,7 @@ func NewSpec(req client.RunRequest) (Spec, error) {
 	if err != nil {
 		return Spec{}, err
 	}
-	return Spec{Request: req, Fingerprint: cfg.Fingerprint(), Identity: id}, nil
+	return Spec{Request: req, Config: cfg, Fingerprint: cfg.Fingerprint(), Identity: id}, nil
 }
 
 // Backend executes one run of a batch somewhere — in this process or
@@ -84,15 +93,11 @@ func NewLocal(name string, ex *exec.Executor) *Local {
 // Name implements Backend.
 func (l *Local) Name() string { return l.name }
 
-// Run implements Backend: materialize and execute through the store.
+// Run implements Backend: execute the spec's checked configuration
+// through the store, under the key NewSpec derived.
 func (l *Local) Run(ctx context.Context, spec Spec) (string, []string, error) {
-	buildStop := obs.PhasesFrom(ctx).Start(obs.PhaseBuild)
-	cfg, err := exec.BuildConfig(spec.Request, "", 0)
-	buildStop()
-	if err != nil {
-		return "", nil, err
-	}
-	csv, res, cached, err := l.ex.Run(ctx, cfg, spec.Request.Workload, exec.Scale(spec.Request), spec.Identity)
+	key := resultstore.KeyOf(spec.Fingerprint, spec.Identity)
+	csv, res, cached, err := l.ex.Run(ctx, spec.Config, key, spec.Request.Workload, exec.Scale(spec.Request))
 	if err != nil {
 		return "", nil, err
 	}

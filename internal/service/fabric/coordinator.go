@@ -9,15 +9,17 @@ import (
 	"time"
 
 	"raccd/client"
+	"raccd/internal/obs"
 	"raccd/internal/report"
 	"raccd/internal/runner"
 	"raccd/internal/sim"
 )
 
 // DefaultInFlight is the per-backend cap on concurrently dispatched
-// runs when the coordinator is not told otherwise: enough to keep a
-// default worker (2 job workers) fed with a queued reserve, small
-// enough not to flood its admission queue.
+// runs when the coordinator is not told otherwise — the default for
+// each remote worker: enough to keep a default worker (2 job workers)
+// fed with a queued reserve, small enough not to flood its admission
+// queue.
 const DefaultInFlight = 4
 
 // PickName returns the index of the name that wins the rendezvous hash
@@ -40,15 +42,17 @@ func PickName(key string, names []string) int {
 	return best
 }
 
-// SpecsFromMatrix expands a validated sweep matrix into the fabric's run
-// list: one spec per matrix cell, in matrix order, carrying the resolved
+// SpecsFromMatrix expands a sweep matrix into the fabric's run list:
+// one spec per matrix cell, in matrix order, carrying the resolved
 // scale, machine and core timing so every backend executes exactly what
-// the caller validated. machineName is the wire-level machine selector (the
-// -machine flag / SweepRequest.Machine), passed through verbatim because
-// it was already validated into m.Machine. The specs fingerprint
-// identically to the cells of an in-process sweep (sim.Config normalizes
-// zero-value fields), so a distributed sweep hits the same cache entries
-// a local one fills.
+// the caller asked for. NewSpec checks each cell, so the first invalid
+// one (unknown workload, unrealizable ratio) is the error. machineName
+// is the wire-level machine selector (the -machine flag /
+// SweepRequest.Machine), passed through verbatim because it was already
+// parsed into m.Machine. The specs fingerprint identically to the cells
+// of an in-process report.Matrix sweep (sim.Config normalizes zero-value
+// fields), so a served sweep hits the same cache entries `sweep -cache`
+// fills.
 func SpecsFromMatrix(m report.Matrix, machineName string) ([]Spec, error) {
 	keys := m.Keys()
 	specs := make([]Spec, 0, len(keys))
@@ -74,14 +78,17 @@ func SpecsFromMatrix(m report.Matrix, machineName string) ([]Spec, error) {
 	return specs, nil
 }
 
-// Coordinator fans a batch of runs out across backends, each run routed
-// by rendezvous hash so identical runs dedupe on their home backend,
-// and merges results and progress deterministically.
+// Coordinator fans runs out across backends, each run routed by
+// rendezvous hash so identical runs dedupe on their home backend, and
+// merges results and progress deterministically. Every run, single or
+// part of a batch, holds one of its backend's in-flight slots while it
+// executes.
 type Coordinator struct {
 	backends []Backend
 	names    []string
-	sems     []chan struct{}
-	stats    []backendStats
+	// sems holds each backend's in-flight slots.
+	sems  []chan struct{}
+	stats []backendStats
 }
 
 // backendStats is one backend's health and traffic counters, exported
@@ -111,8 +118,8 @@ type HealthChecker interface {
 	CheckHealth(ctx context.Context) error
 }
 
-// NewCoordinator builds a coordinator over backends, dispatching at
-// most perBackend runs concurrently to each (<= 0 selects
+// NewCoordinator builds a coordinator over backends, keeping at most
+// perBackend runs in flight on each across all callers (<= 0 selects
 // DefaultInFlight).
 func NewCoordinator(backends []Backend, perBackend int) (*Coordinator, error) {
 	if len(backends) == 0 {
@@ -151,11 +158,22 @@ func (c *Coordinator) RunSpec(ctx context.Context, spec Spec) (csv string, progr
 	return c.runOn(ctx, c.Pick(spec.Key()), spec)
 }
 
-// runOn dispatches spec to backend bi and tallies the outcome. Context
-// cancellation is not the backend's fault and leaves its error count
-// alone.
+// runOn dispatches spec to backend bi once one of the backend's
+// in-flight slots is free, and tallies the outcome. The wait for the
+// slot is queueing, so it counts toward the job's queue_wait phase. The
+// request counts as soon as it is made; context cancellation, while
+// waiting for a slot or running, is not the backend's fault and leaves
+// its error count alone.
 func (c *Coordinator) runOn(ctx context.Context, bi int, spec Spec) (string, []string, error) {
 	c.stats[bi].requests.Add(1)
+	waited := obs.PhasesFrom(ctx).Start(obs.PhaseQueueWait)
+	select {
+	case c.sems[bi] <- struct{}{}:
+	case <-ctx.Done():
+		return "", nil, ctx.Err()
+	}
+	waited()
+	defer func() { <-c.sems[bi] }()
 	csv, lines, err := c.backends[bi].Run(ctx, spec)
 	if err != nil && ctx.Err() == nil {
 		c.stats[bi].errors.Add(1)
@@ -203,9 +221,6 @@ func (c *Coordinator) Probe(ctx context.Context) []BackendStatus {
 	return out
 }
 
-// Backends returns the coordinator's backends in construction order.
-func (c *Coordinator) Backends() []Backend { return c.backends }
-
 // Pick returns the backend index the rendezvous hash homes key on.
 func (c *Coordinator) Pick(key string) int { return PickName(key, c.names) }
 
@@ -216,7 +231,8 @@ type runOutcome struct {
 }
 
 // Execute runs every spec across the backends and returns the merged
-// result set. Runs dispatch concurrently (bounded per backend), but
+// result set. Runs dispatch concurrently (bounded per backend by the
+// in-flight slots runOn takes), but
 // results and progress commit strictly in spec order via the same
 // in-order pool local sweeps use — so the progress stream is
 // deterministic and lossless, and Set.CSV() of the returned set is
@@ -229,12 +245,6 @@ func (c *Coordinator) Execute(ctx context.Context, specs []Spec, progress func(l
 		func(ctx context.Context, i int) (runOutcome, error) {
 			spec := specs[i]
 			bi := c.Pick(spec.Key())
-			select {
-			case c.sems[bi] <- struct{}{}:
-			case <-ctx.Done():
-				return runOutcome{}, ctx.Err()
-			}
-			defer func() { <-c.sems[bi] }()
 			csv, lines, err := c.runOn(ctx, bi, spec)
 			if err != nil {
 				return runOutcome{}, fmt.Errorf("fabric: run %d (%s): %w", i, spec.Key(), err)

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"raccd/client"
 	"raccd/internal/coherence"
@@ -265,5 +266,76 @@ func TestBackendStatsAndProbe(t *testing.T) {
 	down.healthErr = nil
 	if probed := c.Probe(ctx); !probed[1].Up || probed[1].Error != "" {
 		t.Fatalf("recovered probe = %+v", probed[1])
+	}
+}
+
+// gateBackend tracks how many runs are in flight on it and holds every
+// run until release is closed, signalling entered as each one starts.
+type gateBackend struct {
+	release, entered chan struct{}
+
+	mu       sync.Mutex
+	cur, max int
+}
+
+func (g *gateBackend) Name() string { return "gate" }
+
+func (g *gateBackend) Run(ctx context.Context, spec Spec) (string, []string, error) {
+	g.mu.Lock()
+	g.cur++
+	g.max = max(g.max, g.cur)
+	g.mu.Unlock()
+	g.entered <- struct{}{}
+	<-g.release
+	g.mu.Lock()
+	g.cur--
+	g.mu.Unlock()
+	return report.NewSet([]sim.Result{resultForSpec(spec)}).CSV(), nil, nil
+}
+
+// TestInFlightBoundSharedByRunsAndBatches: a backend's in-flight bound
+// holds across every caller — single runs (RunSpec) and batches
+// (Execute) running at once never have more than the bound executing on
+// one backend.
+func TestInFlightBoundSharedByRunsAndBatches(t *testing.T) {
+	const bound, singles, batched = 3, 6, 6
+	g := &gateBackend{release: make(chan struct{}), entered: make(chan struct{}, singles+batched)}
+	c, err := NewCoordinator([]Backend{g}, bound)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for i := 0; i < singles; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, _, err := c.RunSpec(ctx, Spec{Fingerprint: "single", Identity: fmt.Sprintf("id%d", i)}); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	specs := make([]Spec, batched)
+	for i := range specs {
+		specs[i] = Spec{Fingerprint: fmt.Sprintf("wl%d", i), Identity: fmt.Sprintf("id%d", i)}
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if _, err := c.Execute(ctx, specs, nil); err != nil {
+			t.Error(err)
+		}
+	}()
+
+	// Once the bound is reached nothing can finish until release, so
+	// any run dispatched past the bound shows up in max meanwhile.
+	for i := 0; i < bound; i++ {
+		<-g.entered
+	}
+	time.Sleep(20 * time.Millisecond)
+	close(g.release)
+	wg.Wait()
+	if g.max != bound {
+		t.Fatalf("%d runs in flight at once on one backend, want the bound %d", g.max, bound)
 	}
 }

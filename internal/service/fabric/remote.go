@@ -31,9 +31,6 @@ func NewRemote(baseURL string, opts ...client.Option) *Remote {
 // Name implements Backend.
 func (r *Remote) Name() string { return r.name }
 
-// Client exposes the underlying API client (worker stats, health).
-func (r *Remote) Client() *client.Client { return r.c }
-
 // CheckHealth implements the coordinator's HealthChecker: one GET
 // /healthz against the worker.
 func (r *Remote) CheckHealth(ctx context.Context) error {
@@ -65,12 +62,35 @@ func jobRef(id string, st client.Status) string {
 // merged CSV. It is the bulk counterpart of Run, used by `sweep -remote`
 // to ship a whole sweep matrix in one job.
 func (r *Remote) RunBatch(ctx context.Context, specs []Spec, progress func(line string)) (string, error) {
-	ctx = bridgeTrace(ctx)
 	req := client.BatchRequest{Runs: make([]client.RunRequest, len(specs))}
 	for i, s := range specs {
 		req.Runs[i] = s.Request
 	}
-	st, err := r.c.SubmitBatch(ctx, req)
+	return r.roundTrip(bridgeTrace(ctx), func(ctx context.Context) (client.Status, error) {
+		return r.c.SubmitBatch(ctx, req)
+	}, progress)
+}
+
+// Run implements Backend: one run forwarded end to end. The whole round
+// trip — submit, stream, fetch — is the run's fabric_rtt phase.
+func (r *Remote) Run(ctx context.Context, spec Spec) (string, []string, error) {
+	ctx = bridgeTrace(ctx)
+	defer obs.PhasesFrom(ctx).Start(obs.PhaseFabric)()
+	var lines []string
+	csv, err := r.roundTrip(ctx, func(ctx context.Context) (client.Status, error) {
+		return r.c.SubmitRun(ctx, spec.Request)
+	}, func(line string) { lines = append(lines, line) })
+	if err != nil {
+		return "", nil, err
+	}
+	return csv, lines, nil
+}
+
+// roundTrip drives one worker job: submit it, follow its event stream
+// handing each progress line to progress (nil drops them), and fetch
+// its result CSV once it is done.
+func (r *Remote) roundTrip(ctx context.Context, submit func(context.Context) (client.Status, error), progress func(line string)) (string, error) {
+	st, err := submit(ctx)
 	if err != nil {
 		return "", fmt.Errorf("worker %s: %w", r.name, err)
 	}
@@ -96,38 +116,4 @@ func (r *Remote) RunBatch(ctx context.Context, specs []Spec, progress func(line 
 		return "", fmt.Errorf("worker %s: result of %s: %w", r.name, jobRef(st.ID, st), err)
 	}
 	return csv, nil
-}
-
-// Run implements Backend: one run forwarded end to end. The whole round
-// trip — submit, stream, fetch — is the run's fabric_rtt phase.
-func (r *Remote) Run(ctx context.Context, spec Spec) (string, []string, error) {
-	ctx = bridgeTrace(ctx)
-	defer obs.PhasesFrom(ctx).Start(obs.PhaseFabric)()
-	st, err := r.c.SubmitRun(ctx, spec.Request)
-	if err != nil {
-		return "", nil, fmt.Errorf("worker %s: %w", r.name, err)
-	}
-	var lines []string
-	fin, err := r.c.Wait(ctx, st.ID, func(e client.Event) {
-		if e.Type != "progress" {
-			return
-		}
-		var p struct {
-			Line string `json:"line"`
-		}
-		if json.Unmarshal(e.Data, &p) == nil && p.Line != "" {
-			lines = append(lines, p.Line)
-		}
-	})
-	if err != nil {
-		return "", nil, fmt.Errorf("worker %s: waiting on %s: %w", r.name, jobRef(st.ID, fin), err)
-	}
-	if fin.State != "done" {
-		return "", nil, fmt.Errorf("worker %s: job %s %s: %s", r.name, jobRef(st.ID, fin), fin.State, fin.Error)
-	}
-	csv, err := r.c.Result(ctx, st.ID)
-	if err != nil {
-		return "", nil, fmt.Errorf("worker %s: result of %s: %w", r.name, jobRef(st.ID, st), err)
-	}
-	return csv, lines, nil
 }

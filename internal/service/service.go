@@ -1,24 +1,27 @@
 // Package service is the simulation-as-a-service layer behind cmd/raccdd,
-// an HTTP transport assembled from four explicit layers:
+// an HTTP transport assembled from three explicit layers:
 //
 //   - queue (internal/service/queue): bounded FIFO job admission plus the
 //     per-job append-only event log that makes SSE streams lossless.
-//   - exec (internal/service/exec): materializes validated wire requests
-//     into sim.Configs and runs them through the result store and the
-//     runner pool; owns the per-scheme and per-phase execution counters.
-//   - store (internal/service/store): the narrow result-store interface
-//     the layers above depend on (*resultstore.Store is the
-//     implementation), giving offline sweeps and served runs one cache.
+//   - exec (internal/service/exec): materializes wire requests into
+//     checked sim.Configs and runs one simulation through the
+//     content-addressed result store (*resultstore.Store, the same store
+//     `sweep -cache` uses); owns the per-scheme and per-phase execution
+//     counters.
 //   - fabric (internal/service/fabric): the transport seam under every
 //     run — a Backend executes it in-process (Local) or on another raccdd
-//     (Remote), and a Coordinator partitions batches across backends by
+//     (Remote), and a Coordinator partitions runs across backends by
 //     rendezvous-hashing each run's (fingerprint, workload identity)
 //     pair, so identical runs land on one node and dedupe globally.
 //
-// A plain daemon is the degenerate one-node fabric (a single Local
-// backend). Started with Options.Workers it becomes a coordinator: runs,
-// sweeps and batches are partitioned across the worker daemons, progress
-// is merged losslessly in deterministic run order, and the merged CSV is
+// Every job executes through the coordinator. A run is one spec, a
+// batch is its run list, and a sweep expands into exactly the run list
+// the equivalent batch would carry, so all three share one execution
+// path, one progress line per run, one phase breakdown and one CSV. A
+// plain daemon is the degenerate one-node fabric (a single Local
+// backend). Started with Options.Workers it becomes a coordinator: runs
+// are partitioned across the worker daemons, progress is merged
+// losslessly in deterministic run order, and the merged CSV is
 // byte-identical to a local sweep of the same runs.
 //
 // API (see docs/SERVICE.md for the full spec):
@@ -42,16 +45,17 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"runtime"
 	"strconv"
 	"sync"
 	"time"
 
 	"raccd/client"
 	"raccd/internal/obs"
+	"raccd/internal/resultstore"
 	"raccd/internal/service/exec"
 	"raccd/internal/service/fabric"
 	"raccd/internal/service/queue"
-	"raccd/internal/service/store"
 )
 
 // Version is reported by /healthz.
@@ -96,11 +100,13 @@ const (
 type Options struct {
 	// Store is the content-addressed result cache; required. The same
 	// directory may back cmd/sweep -cache, so offline sweeps and served
-	// runs share results. *resultstore.Store is the implementation.
-	Store store.Store
-	// SimJobs is the per-job simulation parallelism (runner pool width);
-	// 0 selects one worker per CPU.
-	SimJobs int
+	// runs share results.
+	Store *resultstore.Store
+	// InFlight bounds the runs executing at once on each backend, shared
+	// by every job: runs, batches and sweeps alike wait for a slot.
+	// 0 selects one per CPU (runtime.GOMAXPROCS) for the in-process
+	// backend and fabric.DefaultInFlight per worker.
+	InFlight int
 	// JobWorkers is how many jobs execute concurrently (default 2).
 	JobWorkers int
 	// QueueDepth bounds the number of jobs waiting to start (default 64);
@@ -116,9 +122,6 @@ type Options struct {
 	// worker URLs stable across restarts and every coordinator maps the
 	// same run to the same worker, which is what makes dedupe global.
 	Workers []string
-	// WorkerInFlight bounds how many runs the coordinator keeps in flight
-	// per worker (default fabric.DefaultInFlight).
-	WorkerInFlight int
 	// Logger receives the server's structured JSON log: one line per
 	// HTTP request and per job transition, each stamped with the
 	// request's trace ID (see docs/OBSERVABILITY.md). nil discards.
@@ -138,13 +141,9 @@ type Server struct {
 
 	q  *queue.Queue
 	ex *exec.Executor
-	// coord always exists: Remote backends over Options.Workers in
-	// coordinator mode, a single in-process Local backend otherwise —
-	// so runs and batches take one code path either way.
+	// coord executes every run: Remote backends over Options.Workers in
+	// coordinator mode, a single in-process Local backend otherwise.
 	coord *fabric.Coordinator
-	// distributed is true when coord fans out to remote workers; local
-	// sweeps then expand into per-run specs instead of running in-process.
-	distributed bool
 
 	log *slog.Logger
 	// proberStop ends the backend health prober (coordinator mode only).
@@ -176,21 +175,24 @@ func New(opts Options) (*Server, error) {
 		mux:   http.NewServeMux(),
 		start: time.Now(),
 		q:     queue.New(opts.QueueDepth),
-		ex:    exec.New(opts.Store, opts.SimJobs),
+		ex:    exec.New(opts.Store),
 		log:   opts.Logger,
 	}
 	s.runCtx, s.cancelRun = context.WithCancel(context.Background()) //raccd:ctxlog-ok server-lifetime root context, cancelled by Close/drain — there is no caller ctx at construction
 
 	var backends []fabric.Backend
+	inFlight := opts.InFlight
 	if len(opts.Workers) > 0 {
-		s.distributed = true
 		for _, u := range opts.Workers {
 			backends = append(backends, fabric.NewRemote(u, client.WithRetry(workerRetries, workerBackoff)))
 		}
 	} else {
 		backends = append(backends, fabric.NewLocal("local", s.ex))
+		if inFlight <= 0 {
+			inFlight = runtime.GOMAXPROCS(0)
+		}
 	}
-	coord, err := fabric.NewCoordinator(backends, opts.WorkerInFlight)
+	coord, err := fabric.NewCoordinator(backends, inFlight)
 	if err != nil {
 		return nil, fmt.Errorf("service: %w", err)
 	}
@@ -211,7 +213,7 @@ func New(opts Options) (*Server, error) {
 	for i := 0; i < opts.JobWorkers; i++ {
 		go s.worker()
 	}
-	if s.distributed {
+	if len(opts.Workers) > 0 {
 		s.proberStop = make(chan struct{})
 		s.proberDone = make(chan struct{})
 		go s.probeLoop()
@@ -270,10 +272,11 @@ func (s *Server) executeJob(j *queue.Job) (csv string, err error) {
 // Shutdown drains the daemon: new submissions are rejected immediately,
 // and the workers get until ctx's deadline to finish every accepted job
 // (in-flight and queued). When the deadline passes, remaining jobs are
-// cancelled — sweeps stop at the next run boundary, a single simulation
-// already in flight aborts at its next task dispatch (sim.RunContext),
-// and jobs that have not started are marked canceled. It returns nil on
-// a clean drain, or ctx's error when the deadline forced cancellation.
+// cancelled — every simulation already in flight aborts at its next task
+// dispatch (sim.RunContext), runs waiting for an in-flight slot never
+// start, and jobs that have not started are marked canceled. It returns
+// nil on a clean drain, or ctx's error when the deadline forced
+// cancellation.
 func (s *Server) Shutdown(ctx context.Context) error {
 	if s.q.Close() != nil {
 		return errors.New("service: already shut down")
@@ -362,28 +365,15 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("sweep expands to %d runs, above the server's limit of %d", runs, s.opts.MaxSweepRuns))
 		return
 	}
-	j := queue.NewJob(s.q.NewID(), "sweep", obs.Trace(r.Context()), runs)
-	if s.distributed {
-		// A coordinator expands the sweep into per-run specs and scatters
-		// them; a plain daemon keeps the in-process sweep path.
-		specs, err := fabric.SpecsFromMatrix(m, req.Machine)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		j.Execute = s.runSpecs(specs)
-	} else {
-		j.Execute = func(j *queue.Job) (string, error) {
-			// The in-process matrix path bypasses exec.Run, so the whole
-			// sweep is one exec phase (queue_wait + exec ≈ job wall).
-			defer j.Phases().Start(obs.PhaseExec)()
-			set, err := s.ex.Sweep(s.jobCtx(j), m, j.Progress)
-			if err != nil {
-				return "", err
-			}
-			return set.CSV(), nil
-		}
+	// A sweep is the batch of its matrix cells: the same specs, progress
+	// lines, phases and CSV as POST /v1/batch with that run list.
+	specs, err := fabric.SpecsFromMatrix(m, req.Machine)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return
 	}
+	j := queue.NewJob(s.q.NewID(), "sweep", obs.Trace(r.Context()), len(specs))
+	j.Execute = s.runSpecs(specs)
 	s.enqueueAndRespond(w, j)
 }
 

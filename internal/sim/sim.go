@@ -83,7 +83,8 @@ const maxSMTWays = 16
 // Check reports whether the configuration describes a runnable machine,
 // with a descriptive error when it does not: unknown scheduler policies,
 // directory ratios the directory geometry cannot realize, out-of-range SMT
-// widths and ADR on a system with nothing to deactivate are all rejected
+// widths, page contiguity outside [0, 1] and ADR on a system with nothing
+// to deactivate are all rejected
 // here rather than as panics (or silent acceptance) deeper in the run.
 // Run calls it on every configuration; CLIs call it up front to fail
 // before spending simulation time. (The name Validate is taken by the
@@ -122,6 +123,9 @@ func (c Config) Check() error {
 	}
 	if params.NCRTEntries <= 0 {
 		return fmt.Errorf("sim: NCRT capacity %d must be positive", params.NCRTEntries)
+	}
+	if params.Contiguity < 0 || params.Contiguity > 1 {
+		return fmt.Errorf("sim: contiguity %g out of range [0, 1]", params.Contiguity)
 	}
 	if c.SMTWays < 0 || c.SMTWays > maxSMTWays {
 		return fmt.Errorf("sim: SMT ways %d out of range [0, %d]", c.SMTWays, maxSMTWays)

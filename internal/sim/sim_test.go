@@ -314,6 +314,8 @@ func TestConfigCheck(t *testing.T) {
 		{"negative smt", func(c *Config) { c.SMTWays = -1 }, "SMT"},
 		{"huge smt", func(c *Config) { c.SMTWays = 64 }, "SMT"},
 		{"adr on fullcoh", func(c *Config) { c.System = coherence.FullCoh; c.ADR = true }, "ADR"},
+		{"contiguity above one", func(c *Config) { c.Params.Contiguity = 5 }, "contiguity"},
+		{"negative contiguity", func(c *Config) { c.Params.Contiguity = -0.5 }, "contiguity"},
 	}
 	for _, tc := range cases {
 		cfg := DefaultConfig(coherence.RaCCD, 1)

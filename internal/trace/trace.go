@@ -1,7 +1,9 @@
 // Package trace provides an optional event trace for the simulated memory
 // hierarchy, in the spirit of gem5's debug flags: protocol events are
 // recorded into a bounded ring buffer that can be filtered, counted and
-// dumped, without perturbing simulation results.
+// dumped, without perturbing simulation results. No simulator layer
+// records into it: the hierarchy counts the same events in
+// coherence.Stats instead.
 package trace
 
 import (

@@ -149,12 +149,6 @@ func DefaultConfig(system System, dirRatio int) Config {
 // Run checks every configuration; call it directly to fail fast before a
 // long sweep. (The name Validate is taken by the golden-validation field.)
 func (c Config) Check() error {
-	if c.Contiguity < 0 || c.Contiguity > 1 {
-		return fmt.Errorf("raccd: contiguity %g out of range [0, 1]", c.Contiguity)
-	}
-	if c.NCRTEntries < 0 {
-		return fmt.Errorf("raccd: negative NCRT capacity %d", c.NCRTEntries)
-	}
 	if err := c.Machine.Check(); err != nil {
 		return err
 	}
