@@ -142,10 +142,11 @@ func BuildMatrix(r client.SweepRequest) (report.Matrix, error) {
 // ctx aborts an in-flight simulation at its next task dispatch.
 func (e *Executor) Run(ctx context.Context, cfg sim.Config, key resultstore.Key, workload string, scale float64) (csv string, res sim.Result, cached bool, err error) {
 	ph := obs.PhasesFrom(ctx)
-	// total−simWall is the store phase: get/put IO, hashing, and — for a
-	// coalesced caller — waiting on another goroutine's identical run.
+	// total−buildWall−simWall is the store phase: get/put IO, hashing,
+	// and — for a coalesced caller — waiting on another goroutine's
+	// identical run.
 	start := time.Now()
-	var simWall time.Duration
+	var buildWall, simWall time.Duration
 	res, cached, err = e.st.GetOrCompute(key, func() (sim.Result, error) {
 		// Cancellation between queueing and compute: don't start a
 		// simulation nobody will wait for.
@@ -154,10 +155,11 @@ func (e *Executor) Run(ctx context.Context, cfg sim.Config, key resultstore.Key,
 		}
 		buildStart := time.Now()
 		w, err := workloads.Get(workload, scale)
+		buildWall = time.Since(buildStart)
+		ph.Add(obs.PhaseBuild, buildWall)
 		if err != nil {
 			return sim.Result{}, err
 		}
-		ph.Add(obs.PhaseBuild, time.Since(buildStart))
 		simStart := time.Now()
 		res, err := sim.RunContext(ctx, w, cfg)
 		simWall = time.Since(simStart)
@@ -167,7 +169,7 @@ func (e *Executor) Run(ctx context.Context, cfg sim.Config, key resultstore.Key,
 		return res, err
 	})
 	ph.Add(obs.PhaseExec, simWall)
-	ph.Add(obs.PhaseStore, time.Since(start)-simWall)
+	ph.Add(obs.PhaseStore, time.Since(start)-buildWall-simWall)
 	if err != nil {
 		return "", sim.Result{}, false, err
 	}
