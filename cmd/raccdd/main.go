@@ -56,8 +56,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		cacheDir   = fs.String("cache", "", "result cache directory (default: a fresh temp dir)")
 		maxCacheMB = fs.Uint64("max-cache-mb", 0, "cache size bound in MiB (0 = unbounded)")
 		jobs       = fs.Int("jobs", 0, "runs in flight per backend, shared by all jobs (0 = one per CPU in-process, 4 per worker)")
-		jobWorkers = fs.Int("job-workers", 2, "jobs executed concurrently")
-		queueDepth = fs.Int("queue", 64, "max queued jobs before submissions get 503")
+		queueDepth = fs.Int("queue", 64, "max unfinished jobs before submissions get 503")
 		drain      = fs.Duration("drain", 30*time.Second, "shutdown deadline for in-flight jobs")
 		workers    = fs.String("workers", "", "comma-separated worker raccdd URLs; runs execute on the fleet instead of in-process, partitioned by rendezvous hash")
 		logLevel   = fs.String("log-level", "info", "minimum log level: debug, info, warn or error (debug adds a line per executed run)")
@@ -95,7 +94,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		cacheDir:   dir,
 		maxBytes:   *maxCacheMB << 20,
 		inFlight:   *jobs,
-		jobWorkers: *jobWorkers,
 		queueDepth: *queueDepth,
 		drain:      *drain,
 		workers:    splitList(*workers),
@@ -121,7 +119,6 @@ type serveOptions struct {
 	cacheDir   string
 	maxBytes   uint64
 	inFlight   int
-	jobWorkers int
 	queueDepth int
 	drain      time.Duration
 	workers    []string
@@ -168,7 +165,6 @@ func serve(ctx context.Context, opts serveOptions, ln net.Listener, stdout, stde
 	svc, err := service.New(service.Options{
 		Store:      store,
 		InFlight:   opts.inFlight,
-		JobWorkers: opts.jobWorkers,
 		QueueDepth: opts.queueDepth,
 		Workers:    opts.workers,
 		Logger:     logger,

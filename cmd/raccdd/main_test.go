@@ -69,7 +69,6 @@ func TestServeEndToEnd(t *testing.T) {
 	go func() {
 		codec <- serve(ctx, serveOptions{
 			cacheDir:   t.TempDir(),
-			jobWorkers: 2,
 			queueDepth: 8,
 			drain:      30 * time.Second,
 			pprofAddr:  "127.0.0.1:0",
@@ -206,7 +205,7 @@ func startDaemon(t *testing.T, ctx context.Context, opts serveOptions) (string, 
 func TestCoordinatorModeEndToEnd(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	base := serveOptions{jobWorkers: 2, queueDepth: 8, drain: 30 * time.Second}
+	base := serveOptions{queueDepth: 8, drain: 30 * time.Second}
 
 	var urls []string
 	var codecs []chan int
@@ -300,6 +299,10 @@ func TestRunFlagErrors(t *testing.T) {
 	// The execution-engine knobs are gone: -engine is an unknown flag.
 	if code := run(context.Background(), []string{"-engine", "seq"}, &stdout, &stderr); code != 2 {
 		t.Fatalf("-engine: exit %d, want 2", code)
+	}
+	// -jobs is the only bound on concurrent runs: -job-workers is gone.
+	if code := run(context.Background(), []string{"-job-workers", "2"}, &stdout, &stderr); code != 2 {
+		t.Fatalf("-job-workers: exit %d, want 2", code)
 	}
 	if code := run(context.Background(), []string{"-log-level", "loud"}, &stdout, &stderr); code != 2 {
 		t.Fatalf("bad log level: exit %d, want 2", code)

@@ -216,8 +216,8 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	go func() {
-		// First signal: cancel, let in-flight runs finish. Second
-		// signal: default handling, i.e. die now.
+		// First signal: cancel; in-flight runs stop at their next task
+		// dispatch. Second signal: default handling, i.e. die now.
 		<-ctx.Done()
 		stop()
 	}()

@@ -22,7 +22,7 @@ func startDaemon(t *testing.T, workers ...string) (string, *service.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := service.New(service.Options{Store: store, JobWorkers: 2, Workers: workers})
+	s, err := service.New(service.Options{Store: store, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,7 @@ import (
 // Layering enforces the import DAG the PR 7 refactor established:
 //
 //   - sim-core packages (cache/classify/coherence/core/cpu/directory/
-//     energy/machine/mem/noc/rts/sim/trace/vm) must not import the
+//     energy/machine/mem/noc/rts/sim/vm) must not import the
 //     serving layers — internal/service/*, internal/resultstore,
 //     internal/obs. A simulation result is a pure function of its
 //     inputs; the core must stay compilable and reasoned-about without

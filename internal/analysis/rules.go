@@ -17,7 +17,7 @@ const modulePath = "raccd"
 // randomness — and must not know about the serving layers above them.
 var simCorePkgs = []string{
 	"cache", "classify", "coherence", "core", "cpu", "directory",
-	"energy", "machine", "mem", "noc", "rts", "sim", "trace", "vm",
+	"energy", "machine", "mem", "noc", "rts", "sim", "vm",
 }
 
 // deterministicOutputPkgs render or route byte-pinned output (golden

@@ -31,7 +31,7 @@ const TraceHeader = "X-Raccd-Trace"
 // concurrent runs accumulate, so their sum can exceed wall time (see
 // docs/OBSERVABILITY.md).
 const (
-	PhaseQueueWait = "queue_wait" // submitted → picked up by a job worker, plus in-flight slot waits
+	PhaseQueueWait = "queue_wait" // accepted → started, plus in-flight slot waits
 	PhaseBuild     = "build"      // workload construction for an executed run
 	PhaseExec      = "exec"       // inside the simulator proper
 	PhaseStore     = "store"      // result-store get/put and coalesced waits

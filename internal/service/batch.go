@@ -44,11 +44,10 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 		specs[i] = spec
 	}
 	j := queue.NewJob(s.q.NewID(), "batch", obs.Trace(r.Context()), len(specs))
-	j.Execute = s.runSpecs(specs)
-	s.enqueueAndRespond(w, j)
+	s.enqueueAndRespond(w, j, s.runSpecs(specs))
 }
 
-// runSpecs is the Execute body of batch and sweep jobs: the coordinator
+// runSpecs is the body of batch and sweep jobs: the coordinator
 // scatters the specs across its backends and the merged set renders as
 // one CSV.
 func (s *Server) runSpecs(specs []fabric.Spec) func(*queue.Job) (string, error) {

@@ -31,7 +31,7 @@ func startFabric(t *testing.T, n int, coordOpts Options) (*client.Client, []*Ser
 		if err != nil {
 			t.Fatal(err)
 		}
-		ws, err := New(Options{Store: store, JobWorkers: 4})
+		ws, err := New(Options{Store: store})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +164,7 @@ func TestCoordinatorSweepMatchesGolden(t *testing.T) {
 // exactly one simulation, because the rendezvous hash homes every copy on
 // the same worker and that worker's store single-flights them.
 func TestCoordinatorCrossNodeDedupe(t *testing.T) {
-	c, workers, _ := startFabric(t, 2, Options{JobWorkers: 8})
+	c, workers, _ := startFabric(t, 2, Options{})
 	ctx := context.Background()
 
 	req := client.RunRequest{Workload: "Jacobi", Scale: 0.05, System: "RaCCD", DirRatio: 16}

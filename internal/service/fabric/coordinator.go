@@ -17,9 +17,9 @@ import (
 
 // DefaultInFlight is the per-backend cap on concurrently dispatched
 // runs when the coordinator is not told otherwise — the default for
-// each remote worker: enough to keep a default worker (2 job workers)
-// fed with a queued reserve, small enough not to flood its admission
-// queue.
+// each remote worker: enough to keep a small worker's in-process slots
+// (one per CPU) busy with runs waiting behind them, small enough not
+// to flood its admission queue.
 const DefaultInFlight = 4
 
 // PickName returns the index of the name that wins the rendezvous hash

@@ -70,11 +70,11 @@ func TestEmitFabricBench(t *testing.T) {
 	}
 	runs := fig2Matrix(scale, nil).NumRuns()
 
-	_, single := newTestServer(t, Options{JobWorkers: 4})
+	_, single := newTestServer(t, Options{})
 	singleCold := timedSweep(t, single, scale)
 	singleWarm := timedSweep(t, single, scale)
 
-	fabric, workers, _ := startFabric(t, 2, Options{JobWorkers: 4})
+	fabric, workers, _ := startFabric(t, 2, Options{})
 	fabricCold := timedSweep(t, fabric, scale)
 	fabricWarm := timedSweep(t, fabric, scale)
 	for i, w := range workers {

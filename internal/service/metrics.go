@@ -35,7 +35,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	head("raccd_uptime_seconds", "gauge", "Seconds since the daemon started.")
 	fmt.Fprintf(&b, "raccd_uptime_seconds %s\n", promFloat(time.Since(s.start).Seconds()))
 
-	head("raccd_queue_depth", "gauge", "Jobs accepted and waiting for a job worker.")
+	head("raccd_queue_depth", "gauge", "Jobs accepted and not yet finished; -queue bounds it.")
 	fmt.Fprintf(&b, "raccd_queue_depth %d\n", s.q.Depth())
 
 	head("raccd_jobs", "gauge", "Jobs known to the daemon, by lifecycle state.")

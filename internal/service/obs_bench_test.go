@@ -47,7 +47,7 @@ func TestEmitObsBench(t *testing.T) {
 	// Untimed warmup on a throwaway daemon: brings the host to steady
 	// state (page cache, CPU clocks) so measurement order doesn't bias
 	// the plain-vs-logged comparison.
-	_, warmup := newTestServer(t, Options{JobWorkers: 4})
+	_, warmup := newTestServer(t, Options{})
 	timedSweep(t, warmup, scale)
 
 	// Best-of-N with the two configurations interleaved: each iteration
@@ -68,10 +68,9 @@ func TestEmitObsBench(t *testing.T) {
 	}
 	var plainCold, plainWarm, loggedCold, loggedWarm time.Duration
 	for i := 0; i < iters; i++ {
-		pc, pw := measure(Options{JobWorkers: 4})
+		pc, pw := measure(Options{})
 		lc, lw := measure(Options{
-			JobWorkers: 4,
-			Logger:     obs.NewLogger(io.Discard, slog.LevelDebug),
+			Logger: obs.NewLogger(io.Discard, slog.LevelDebug),
 		})
 		if i == 0 || pc < plainCold {
 			plainCold = pc

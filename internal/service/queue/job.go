@@ -15,7 +15,7 @@ import (
 type State string
 
 const (
-	// StateQueued: accepted, waiting for a job worker.
+	// StateQueued: accepted, not yet started.
 	StateQueued State = "queued"
 	// StateRunning: simulations in flight.
 	StateRunning State = "running"
@@ -73,10 +73,6 @@ type Job struct {
 	// phases accumulates the job's wall-time breakdown; the exec and
 	// fabric layers reach it through the job context.
 	phases obs.Phases
-	// Execute runs the job's simulations; assigned at submission, called
-	// by the owning worker exactly once, and dropped by Finish so a
-	// finished job no longer pins its request.
-	Execute func(j *Job) (csv string, err error)
 
 	mu        sync.Mutex
 	state     State
@@ -177,12 +173,11 @@ func (j *Job) SetState(s State, errMsg string) {
 	}
 }
 
-// Finish records the outcome of Execute: the CSV on success, a canceled
-// state when the error is the context's, a failed state otherwise. It
-// drops Execute, whose closure holds the request the job was built from.
+// Finish records the outcome of the job's body: the CSV on success, a
+// canceled state when the error is the context's, a failed state
+// otherwise.
 func (j *Job) Finish(csv string, err error) {
 	j.mu.Lock()
-	j.Execute = nil
 	if err == nil {
 		j.csv = csv
 	}

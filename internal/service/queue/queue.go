@@ -1,9 +1,9 @@
-// Package queue is the job layer of the simulation service: a bounded
-// FIFO queue of jobs, a registry for status lookup, and a per-job
-// append-only event log that makes SSE progress streams lossless (see
-// Job). It knows nothing about HTTP or simulations — the service's
-// transport layer submits jobs whose Execute closures the service's
-// workers run, and the executor layer does the simulating.
+// Package queue is the job layer of the simulation service: bounded job
+// admission, a registry for status lookup, and a per-job append-only
+// event log that makes SSE progress streams lossless (see Job). It
+// knows nothing about HTTP or simulations — the service's transport
+// layer admits jobs and runs each one's body on its own goroutine, and
+// the executor layer does the simulating.
 package queue
 
 import (
@@ -19,23 +19,27 @@ var (
 	ErrClosed = errors.New("service shutting down")
 )
 
-// Queue is a bounded FIFO of jobs plus the registry of every job ever
-// accepted (running and finished jobs stay queryable). Safe for
-// concurrent use.
+// Queue bounds the jobs accepted and not yet finished, and registers
+// every job ever accepted (running and finished jobs stay queryable).
+// Safe for concurrent use.
 type Queue struct {
-	mu      sync.Mutex
-	jobs    map[string]*Job
-	order   []string
-	nextID  int
-	ch      chan *Job
+	mu         sync.Mutex
+	jobs       map[string]*Job
+	order      []string
+	nextID     int
+	limit      int
+	unfinished int
+	// idle is Waited on by Wait. Submit adds to it under mu and refuses
+	// once closing, so no Add can race a Wait that follows Close.
+	idle    sync.WaitGroup
 	closing bool
 }
 
-// New returns a queue holding at most depth waiting jobs.
+// New returns a queue holding at most depth unfinished jobs.
 func New(depth int) *Queue {
 	return &Queue{
-		jobs: make(map[string]*Job),
-		ch:   make(chan *Job, depth),
+		jobs:  make(map[string]*Job),
+		limit: depth,
 	}
 }
 
@@ -47,27 +51,34 @@ func (q *Queue) NewID() string {
 	return fmt.Sprintf("j%06d", q.nextID)
 }
 
-// Submit registers and enqueues a job, or reports why it cannot
-// (ErrFull, ErrClosed).
+// Submit registers a job and counts it as unfinished until Done, or
+// reports why it cannot (ErrFull, ErrClosed).
 func (q *Queue) Submit(j *Job) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closing {
 		return ErrClosed
 	}
-	select {
-	case q.ch <- j:
-		q.jobs[j.id] = j
-		q.order = append(q.order, j.id)
-		return nil
-	default:
+	if q.unfinished >= q.limit {
 		return ErrFull
 	}
+	q.unfinished++
+	q.idle.Add(1)
+	q.jobs[j.id] = j
+	q.order = append(q.order, j.id)
+	return nil
 }
 
-// C is the channel workers receive jobs from; it is closed by Close
-// after the queued backlog, so draining workers exit naturally.
-func (q *Queue) C() <-chan *Job { return q.ch }
+// Done marks one submitted job finished, freeing its place.
+func (q *Queue) Done() {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.unfinished--
+	q.idle.Done()
+}
+
+// Wait blocks until every submitted job is Done.
+func (q *Queue) Wait() { q.idle.Wait() }
 
 // Get looks a job up by id.
 func (q *Queue) Get(id string) (*Job, bool) {
@@ -88,15 +99,15 @@ func (q *Queue) Jobs() []*Job {
 	return out
 }
 
-// Depth is the number of jobs waiting to start.
+// Depth is the number of accepted jobs that have not finished.
 func (q *Queue) Depth() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return len(q.ch)
+	return q.unfinished
 }
 
-// Close rejects further submissions and closes the worker channel once
-// the backlog drains. It errors if called twice.
+// Close rejects further submissions; jobs already accepted still count
+// until Done. It errors if called twice.
 func (q *Queue) Close() error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -104,6 +115,5 @@ func (q *Queue) Close() error {
 		return errors.New("queue: already closed")
 	}
 	q.closing = true
-	close(q.ch)
 	return nil
 }

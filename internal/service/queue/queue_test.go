@@ -46,6 +46,11 @@ func TestQueueFullAndClosed(t *testing.T) {
 	if err := q.Submit(NewJob(q.NewID(), "run", "", 1)); err != ErrFull {
 		t.Fatalf("overflow submit err = %v, want ErrFull", err)
 	}
+	// A finished job frees its place.
+	q.Done()
+	if err := q.Submit(NewJob(q.NewID(), "run", "", 1)); err != nil {
+		t.Fatalf("submit after Done: %v", err)
+	}
 	if err := q.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -55,13 +60,15 @@ func TestQueueFullAndClosed(t *testing.T) {
 	if err := q.Close(); err == nil {
 		t.Fatal("second Close did not error")
 	}
-	// The backlog accepted before Close still drains through C.
-	j, ok := <-q.C()
-	if !ok || j == nil {
-		t.Fatal("queued job lost on close")
+	// The job accepted before Close still counts until it is Done, and
+	// Wait returns once it is.
+	if q.Depth() != 1 {
+		t.Fatalf("depth after close = %d, want the 1 unfinished job", q.Depth())
 	}
-	if _, ok := <-q.C(); ok {
-		t.Fatal("channel not closed after backlog drained")
+	q.Done()
+	q.Wait()
+	if q.Depth() != 0 {
+		t.Fatalf("depth after Done = %d, want 0", q.Depth())
 	}
 }
 
@@ -170,7 +177,7 @@ func TestEventNotifyBroadcast(t *testing.T) {
 
 // TestTerminalEventCarriesStatus: every outcome's terminal event carries
 // the job's final Status, identical to Status(), beside its usual
-// fields; Finish drops the job's Execute closure.
+// fields.
 func TestTerminalEventCarriesStatus(t *testing.T) {
 	for _, tc := range []struct {
 		err   error
@@ -182,13 +189,9 @@ func TestTerminalEventCarriesStatus(t *testing.T) {
 		{context.Canceled, "error", "error"},
 	} {
 		j := NewJob("j1", "run", "t1", 1)
-		j.Execute = func(*Job) (string, error) { return "csv\n", tc.err }
 		j.SetState(StateRunning, "")
 		j.Progress("line")
-		j.Finish(j.Execute(j))
-		if j.Execute != nil {
-			t.Fatalf("%v: Finish kept the Execute closure", tc.err)
-		}
+		j.Finish("csv\n", tc.err)
 
 		evs, _, _ := j.EventsSince(0)
 		last := evs[len(evs)-1]

@@ -102,7 +102,7 @@ func TestCoordinatorRunIsThreeRoundTripsPerWorker(t *testing.T) {
 	var workers []*Server
 	var counters []*apiCounter
 	for i := 0; i < 2; i++ {
-		ws, cnt, url := startCounted(t, Options{JobWorkers: 4})
+		ws, cnt, url := startCounted(t, Options{})
 		urls = append(urls, url)
 		workers = append(workers, ws)
 		counters = append(counters, cnt)
@@ -149,7 +149,7 @@ func TestCoordinatorRunIsThreeRoundTripsPerWorker(t *testing.T) {
 // their final status in the terminal event, so Wait needs only the
 // event stream to learn the outcome.
 func TestWaitReturnsErrorStatusFromStream(t *testing.T) {
-	s, cnt, url := startCounted(t, Options{JobWorkers: 1})
+	s, cnt, url := startCounted(t, Options{})
 	c := client.New(url)
 	for _, tc := range []struct {
 		err       error
@@ -160,8 +160,7 @@ func TestWaitReturnsErrorStatusFromStream(t *testing.T) {
 		{context.Canceled, "canceled", ""},
 	} {
 		j := queue.NewJob(s.q.NewID(), "run", "", 1)
-		j.Execute = func(*queue.Job) (string, error) { return "", tc.err }
-		if err := s.q.Submit(j); err != nil {
+		if err := s.admit(j, func(*queue.Job) (string, error) { return "", tc.err }); err != nil {
 			t.Fatal(err)
 		}
 		before := cnt.n.Load()

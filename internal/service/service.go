@@ -1,7 +1,7 @@
 // Package service is the simulation-as-a-service layer behind cmd/raccdd,
 // an HTTP transport assembled from three explicit layers:
 //
-//   - queue (internal/service/queue): bounded FIFO job admission plus the
+//   - queue (internal/service/queue): bounded job admission plus the
 //     per-job append-only event log that makes SSE streams lossless.
 //   - exec (internal/service/exec): materializes wire requests into
 //     checked sim.Configs and runs one simulation through the
@@ -47,7 +47,6 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"sync"
 	"time"
 
 	"raccd/client"
@@ -103,14 +102,13 @@ type Options struct {
 	// runs share results.
 	Store *resultstore.Store
 	// InFlight bounds the runs executing at once on each backend, shared
-	// by every job: runs, batches and sweeps alike wait for a slot.
-	// 0 selects one per CPU (runtime.GOMAXPROCS) for the in-process
-	// backend and fabric.DefaultInFlight per worker.
+	// by every job: runs, batches and sweeps alike wait for a slot, and
+	// nothing else bounds them. 0 selects one per CPU
+	// (runtime.GOMAXPROCS) for the in-process backend and
+	// fabric.DefaultInFlight per worker.
 	InFlight int
-	// JobWorkers is how many jobs execute concurrently (default 2).
-	JobWorkers int
-	// QueueDepth bounds the number of jobs waiting to start (default 64);
-	// submissions beyond it are rejected with 503.
+	// QueueDepth bounds the jobs accepted and not yet finished (default
+	// 64); submissions beyond it are rejected with 503.
 	QueueDepth int
 	// MaxSweepRuns rejects sweeps and batches that expand to more
 	// simulations than this (default 100000). It also bounds submission
@@ -149,17 +147,12 @@ type Server struct {
 	// proberStop ends the backend health prober (coordinator mode only).
 	proberStop chan struct{}
 	proberDone chan struct{}
-
-	workers sync.WaitGroup
 }
 
-// New validates opts, starts the job workers and returns a ready server.
+// New validates opts and returns a ready server.
 func New(opts Options) (*Server, error) {
 	if opts.Store == nil {
 		return nil, errors.New("service: Options.Store is required")
-	}
-	if opts.JobWorkers <= 0 {
-		opts.JobWorkers = 2
 	}
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 64
@@ -209,10 +202,6 @@ func New(opts Options) (*Server, error) {
 	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleResult)
 
-	s.workers.Add(opts.JobWorkers)
-	for i := 0; i < opts.JobWorkers; i++ {
-		go s.worker()
-	}
 	if len(opts.Workers) > 0 {
 		s.proberStop = make(chan struct{})
 		s.proberDone = make(chan struct{})
@@ -227,26 +216,38 @@ func New(opts Options) (*Server, error) {
 // structured log line.
 func (s *Server) Handler() http.Handler { return s.withObs(s.mux) }
 
-// worker executes queued jobs until the queue closes.
-func (s *Server) worker() {
-	defer s.workers.Done()
-	for j := range s.q.C() {
-		if err := s.runCtx.Err(); err != nil {
-			j.Finish("", err)
-			continue
-		}
-		j.SetState(StateRunning, "")
-		s.log.Info("job started", "job", j.ID(), "trace", j.Trace(), "kind", j.Kind())
-		csv, err := s.executeJob(j)
-		// The phases are complete once Execute returns. Observe them
-		// before Finish publishes the terminal event, so a client that
-		// has seen the job finish also sees them in /metrics.
-		for name, d := range j.Phases().Durations() { //raccd:unordered-ok each phase feeds its own histogram; cross-phase observation order is commutative
-			s.ex.Metrics().ObservePhase(name, d)
-		}
-		j.Finish(csv, err)
-		s.logFinished(j)
+// admit accepts j and starts body on the job's own goroutine. The job
+// counts against QueueDepth until body returns; runs inside it wait
+// only for their backend's in-flight slots.
+func (s *Server) admit(j *queue.Job, body func(*queue.Job) (string, error)) error {
+	if err := s.q.Submit(j); err != nil {
+		return err
 	}
+	s.log.Info("job accepted",
+		"job", j.ID(), "trace", j.Trace(), "kind", j.Kind(),
+		"runs", j.Status().RunsTotal, "queue_depth", s.q.Depth())
+	go s.runJob(j, body)
+	return nil
+}
+
+// runJob executes an admitted job's body and records its outcome.
+func (s *Server) runJob(j *queue.Job, body func(*queue.Job) (string, error)) {
+	defer s.q.Done()
+	if err := s.runCtx.Err(); err != nil {
+		j.Finish("", err)
+		return
+	}
+	j.SetState(StateRunning, "")
+	s.log.Info("job started", "job", j.ID(), "trace", j.Trace(), "kind", j.Kind())
+	csv, err := s.executeJob(j, body)
+	// The phases are complete once body returns. Observe them before
+	// Finish publishes the terminal event, so a client that has seen
+	// the job finish also sees them in /metrics.
+	for name, d := range j.Phases().Durations() { //raccd:unordered-ok each phase feeds its own histogram; cross-phase observation order is commutative
+		s.ex.Metrics().ObservePhase(name, d)
+	}
+	j.Finish(csv, err)
+	s.logFinished(j)
 }
 
 // logFinished logs a job's terminal transition.
@@ -259,24 +260,23 @@ func (s *Server) logFinished(j *queue.Job) {
 }
 
 // executeJob runs a job's body, converting a panic into a job failure so
-// one bad request can never take the daemon (and every queued job) down.
-func (s *Server) executeJob(j *queue.Job) (csv string, err error) {
+// one bad request can never take the daemon (and every other job) down.
+func (s *Server) executeJob(j *queue.Job, body func(*queue.Job) (string, error)) (csv string, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("job panicked: %v", r)
 		}
 	}()
-	return j.Execute(j)
+	return body(j)
 }
 
 // Shutdown drains the daemon: new submissions are rejected immediately,
-// and the workers get until ctx's deadline to finish every accepted job
-// (in-flight and queued). When the deadline passes, remaining jobs are
-// cancelled — every simulation already in flight aborts at its next task
-// dispatch (sim.RunContext), runs waiting for an in-flight slot never
-// start, and jobs that have not started are marked canceled. It returns
-// nil on a clean drain, or ctx's error when the deadline forced
-// cancellation.
+// and every accepted job gets until ctx's deadline to finish. When the
+// deadline passes, remaining jobs are cancelled — every simulation
+// already in flight aborts at its next task dispatch (sim.RunContext),
+// runs waiting for an in-flight slot never start, and jobs that have not
+// started are marked canceled. It returns nil on a clean drain, or ctx's
+// error when the deadline forced cancellation.
 func (s *Server) Shutdown(ctx context.Context) error {
 	if s.q.Close() != nil {
 		return errors.New("service: already shut down")
@@ -287,7 +287,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	done := make(chan struct{})
 	go func() {
-		s.workers.Wait()
+		s.q.Wait()
 		close(done)
 	}()
 	var err error
@@ -296,7 +296,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 		err = ctx.Err()
 		s.cancelRun() // abort in-flight simulations
-		<-done        // workers observe cancellation promptly
+		<-done        // jobs observe cancellation promptly
 	}
 	s.cancelRun()
 	return err
@@ -315,11 +315,10 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j := queue.NewJob(s.q.NewID(), "run", obs.Trace(r.Context()), 1)
-	j.Execute = s.runOne(spec)
-	s.enqueueAndRespond(w, j)
+	s.enqueueAndRespond(w, j, s.runOne(spec))
 }
 
-// jobCtx is the context a job's Execute body runs under: the server's
+// jobCtx is the context a job's body runs under: the server's
 // run context (cancelled on forced shutdown) carrying the job's trace
 // ID, a job-scoped logger, and the job's phase accumulator for the
 // layers below to fill in.
@@ -329,7 +328,7 @@ func (s *Server) jobCtx(j *queue.Job) context.Context {
 	return obs.WithPhases(ctx, j.Phases())
 }
 
-// runOne is the Execute body of a single-run job: the spec's rendezvous
+// runOne is the body of a single-run job: the spec's rendezvous
 // backend executes it (the in-process Local backend on a plain daemon)
 // and its progress lines land in the job's event log.
 func (s *Server) runOne(spec fabric.Spec) func(*queue.Job) (string, error) {
@@ -373,8 +372,7 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j := queue.NewJob(s.q.NewID(), "sweep", obs.Trace(r.Context()), len(specs))
-	j.Execute = s.runSpecs(specs)
-	s.enqueueAndRespond(w, j)
+	s.enqueueAndRespond(w, j, s.runSpecs(specs))
 }
 
 // maxBodyPerRun is the body budget per run a submission may carry: a
@@ -401,15 +399,12 @@ func decodeBody(w http.ResponseWriter, r *http.Request, runs int, v any) bool {
 	return false
 }
 
-// enqueueAndRespond submits j and writes the 202/503 response.
-func (s *Server) enqueueAndRespond(w http.ResponseWriter, j *queue.Job) {
-	if err := s.q.Submit(j); err != nil {
+// enqueueAndRespond admits j with body and writes the 202/503 response.
+func (s *Server) enqueueAndRespond(w http.ResponseWriter, j *queue.Job, body func(*queue.Job) (string, error)) {
+	if err := s.admit(j, body); err != nil {
 		httpError(w, http.StatusServiceUnavailable, err)
 		return
 	}
-	s.log.Info("job accepted",
-		"job", j.ID(), "trace", j.Trace(), "kind", j.Kind(),
-		"runs", j.Status().RunsTotal, "queue_depth", s.q.Depth())
 	w.Header().Set("Location", "/v1/jobs/"+j.ID())
 	writeJSON(w, http.StatusAccepted, j.Status())
 }

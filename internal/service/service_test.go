@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"raccd/client"
+	"raccd/internal/report"
 	"raccd/internal/resultstore"
 	"raccd/internal/service/queue"
 )
@@ -110,12 +112,73 @@ func TestSweepOverHTTPMatchesGolden(t *testing.T) {
 	}
 }
 
+// TestSweepCacheStoreHitByServedSweep: a store `sweep -cache` filled
+// (report.Matrix with Cache set) serves the same sweeps submitted over
+// HTTP without one new simulation — the offline matrix and the served
+// run list derive identical cache keys, for the simple core and for the
+// OoO core with a prefetcher — and the simple-core CSV is the golden one.
+func TestSweepCacheStoreHitByServedSweep(t *testing.T) {
+	want, err := os.ReadFile("../report/testdata/golden_small_sweep.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := resultstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ooo := goldenSweep()
+	ooo.Core, ooo.PrefetchDegree = "ooo", 2
+	reqs := []client.SweepRequest{goldenSweep(), ooo}
+	for _, req := range reqs {
+		m := report.Matrix{
+			Workloads:      req.Workloads,
+			Systems:        report.Systems,
+			Ratios:         req.Ratios,
+			ADR:            req.ADR,
+			Scale:          req.Scale,
+			Validate:       true,
+			Cache:          store,
+			Core:           req.Core,
+			PrefetchDegree: req.PrefetchDegree,
+		}
+		if _, err := m.Run(); err != nil {
+			t.Fatalf("core %q: offline fill: %v", req.Core, err)
+		}
+	}
+	filled := store.Stats().Misses
+	if filled == 0 {
+		t.Fatal("offline fill simulated nothing")
+	}
+
+	_, c := newTestServer(t, Options{Store: store})
+	ctx := context.Background()
+	for _, req := range reqs {
+		st, err := c.SubmitSweep(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fin, err := c.Wait(ctx, st.ID, nil); err != nil || fin.State != "done" {
+			t.Fatalf("core %q: %v, %+v", req.Core, err, fin)
+		}
+		got, err := c.Result(ctx, st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if req.Core == "" && got != string(want) {
+			t.Fatal("served sweep CSV diverged from the seed golden")
+		}
+	}
+	if misses := store.Stats().Misses - filled; misses != 0 {
+		t.Fatalf("served sweeps simulated %d runs the offline fill had stored", misses)
+	}
+}
+
 // TestConcurrentSameFingerprint hammers N concurrent submits of an
 // identical run: exactly one simulation must execute, every other request
 // is a cache hit (disk or coalesced in-flight). Run under -race this also
 // exercises the store's single-flight and the job event fan-out.
 func TestConcurrentSameFingerprint(t *testing.T) {
-	s, c := newTestServer(t, Options{JobWorkers: 8, QueueDepth: 64})
+	s, c := newTestServer(t, Options{})
 	ctx := context.Background()
 
 	req := client.RunRequest{Workload: "Jacobi", Scale: 0.05, System: "RaCCD", DirRatio: 16}
@@ -235,60 +298,132 @@ func TestSubmitValidation(t *testing.T) {
 }
 
 func TestQueueFullRejects(t *testing.T) {
-	store, err := resultstore.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(Options{Store: store, JobWorkers: 1, QueueDepth: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		s.Shutdown(ctx)
-	}()
+	s, c := newTestServer(t, Options{QueueDepth: 1})
 
-	// Block the single worker with a job that waits on a channel, fill
-	// the queue slot with a second job, then overflow.
+	// One unfinished job fills the queue: a submission over HTTP bounces.
 	release := make(chan struct{})
-	blocker := queue.NewJob("j-block", "run", "", 1)
-	blocker.Execute = func(*queue.Job) (string, error) { <-release; return "", nil }
-	if err := s.q.Submit(blocker); err != nil {
+	defer close(release)
+	blocker := queue.NewJob(s.q.NewID(), "run", "", 1)
+	if err := s.admit(blocker, func(*queue.Job) (string, error) { <-release; return "", nil }); err != nil {
 		t.Fatal(err)
 	}
-	// Give the worker a moment to pick the blocker up so the queue slot
-	// frees; then occupy it again.
-	deadline := time.Now().Add(2 * time.Second)
-	filler := queue.NewJob("j-fill", "run", "", 1)
-	filler.Execute = func(*queue.Job) (string, error) { return "", nil }
-	for {
-		if err := s.q.Submit(filler); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("queue never freed")
-		}
-		time.Sleep(5 * time.Millisecond)
+	_, err := c.SubmitRun(context.Background(), client.RunRequest{Workload: "MD5", Scale: 0.05, System: "PT"})
+	if apiErr, ok := err.(*client.APIError); !ok || apiErr.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("overflow submit err = %v, want 503", err)
 	}
-
-	overflow := queue.NewJob("j-overflow", "run", "", 1)
-	overflow.Execute = func(*queue.Job) (string, error) { return "", nil }
-	// The worker is blocked and the queue holds filler: this must bounce.
-	if err := s.q.Submit(overflow); err != queue.ErrFull {
-		t.Fatalf("overflow submit err = %v, want queue.ErrFull", err)
-	}
-	close(release)
 }
 
-// TestShutdownDrains proves graceful shutdown: in-flight jobs finish,
-// queued-but-unstarted jobs are canceled, and later submissions bounce.
+// TestAdmissionCountsUnfinishedJobs: QueueDepth bounds the jobs accepted
+// and not yet finished — a started job still holds its place until its
+// body returns.
+func TestAdmissionCountsUnfinishedJobs(t *testing.T) {
+	s, _ := newTestServer(t, Options{QueueDepth: 1})
+	noop := func(*queue.Job) (string, error) { return "", nil }
+
+	started := make(chan struct{})
+	release := make(chan struct{})
+	blocker := queue.NewJob(s.q.NewID(), "run", "", 1)
+	if err := s.admit(blocker, func(*queue.Job) (string, error) {
+		close(started)
+		<-release
+		return "", nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	if err := s.admit(queue.NewJob(s.q.NewID(), "run", "", 1), noop); err != queue.ErrFull {
+		t.Errorf("submit beside a running job: err = %v, want queue.ErrFull", err)
+	}
+	close(release)
+	s.q.Wait()
+	if err := s.admit(queue.NewJob(s.q.NewID(), "run", "", 1), noop); err != nil {
+		t.Fatalf("submit after the job finished: %v", err)
+	}
+}
+
+// TestNoJobWaitsForAnotherJob: every admitted job starts at once, so
+// jobs that each wait for all the others to start all finish.
+func TestNoJobWaitsForAnotherJob(t *testing.T) {
+	s, c := newTestServer(t, Options{})
+	const n = 4
+	var started sync.WaitGroup
+	started.Add(n)
+	all := make(chan struct{})
+	go func() {
+		started.Wait()
+		close(all)
+	}()
+	jobs := make([]*queue.Job, n)
+	for i := range jobs {
+		jobs[i] = queue.NewJob(s.q.NewID(), "run", "", 1)
+		if err := s.admit(jobs[i], func(*queue.Job) (string, error) {
+			started.Done()
+			select {
+			case <-all:
+				return "x\n", nil
+			case <-time.After(10 * time.Second):
+				return "", errors.New("not every job started")
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for _, j := range jobs {
+		fin, err := c.Wait(ctx, j.ID(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fin.State != "done" {
+			t.Fatalf("job %s = %s (%s), want done", fin.ID, fin.State, fin.Error)
+		}
+	}
+}
+
+// TestNoHeadOfLineWait: a run submitted behind jobs that are still
+// executing starts at once and takes a free in-flight slot.
+func TestNoHeadOfLineWait(t *testing.T) {
+	s, c := newTestServer(t, Options{InFlight: 4})
+	release := make(chan struct{})
+	defer close(release)
+	for i := 0; i < 2; i++ {
+		started := make(chan struct{})
+		j := queue.NewJob(s.q.NewID(), "batch", "", 1)
+		if err := s.admit(j, func(*queue.Job) (string, error) {
+			close(started)
+			<-release
+			return "", nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		<-started
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	st, err := c.SubmitRun(ctx, client.RunRequest{Workload: "MD5", Scale: 0.05, System: "RaCCD"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fin, err := c.Wait(ctx, st.ID, nil)
+	if err != nil {
+		j, _ := s.q.Get(st.ID)
+		t.Fatalf("run behind two executing jobs: %v (still %s)", err, j.Status().State)
+	}
+	if fin.State != "done" {
+		t.Fatalf("run finished %q (%s)", fin.State, fin.Error)
+	}
+}
+
+// TestShutdownDrains proves graceful shutdown: accepted jobs finish and
+// later submissions bounce.
 func TestShutdownDrains(t *testing.T) {
 	store, err := resultstore.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Options{Store: store, JobWorkers: 1, QueueDepth: 8})
+	s, err := New(Options{Store: store, QueueDepth: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,18 +431,16 @@ func TestShutdownDrains(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	inflight := queue.NewJob("j-inflight", "run", "", 1)
-	inflight.Execute = func(*queue.Job) (string, error) {
+	if err := s.admit(inflight, func(*queue.Job) (string, error) {
 		close(started)
 		<-release
 		return "done,csv\n", nil
-	}
-	if err := s.q.Submit(inflight); err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 	<-started
 	queued := queue.NewJob("j-queued", "run", "", 1)
-	queued.Execute = func(*queue.Job) (string, error) { return "", nil }
-	if err := s.q.Submit(queued); err != nil {
+	if err := s.admit(queued, func(*queue.Job) (string, error) { return "", nil }); err != nil {
 		t.Fatal(err)
 	}
 
@@ -434,7 +567,7 @@ func TestResultNotReady(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Options{Store: store, JobWorkers: 1, QueueDepth: 4})
+	s, err := New(Options{Store: store, QueueDepth: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,8 +578,7 @@ func TestResultNotReady(t *testing.T) {
 
 	release := make(chan struct{})
 	blocker := queue.NewJob(s.q.NewID(), "run", "", 1)
-	blocker.Execute = func(*queue.Job) (string, error) { <-release; return "x\n", nil }
-	if err := s.q.Submit(blocker); err != nil {
+	if err := s.admit(blocker, func(*queue.Job) (string, error) { <-release; return "x\n", nil }); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Result(ctx, blocker.ID()); err == nil {
