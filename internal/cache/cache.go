@@ -98,9 +98,25 @@ func NewBanked(sets, ways int, indexShift uint) *Cache {
 		sets:       sets,
 		ways:       ways,
 		indexShift: indexShift,
-		lines:      make([]Line, sets*ways),
-		plru:       make([]uint8, sets*max(ways-1, 1)),
+		lines:      lineArrays.Get(sets * ways),
+		plru:       plruArrays.Get(sets * max(ways-1, 1)),
 	}
+}
+
+// Arrays released by finished caches, reused by the next cache of the
+// same geometry.
+var (
+	lineArrays mem.Recycler[Line]
+	plruArrays mem.Recycler[uint8]
+)
+
+// Release hands the cache's line and replacement arrays to the next cache
+// built with the same geometry. A later lookup or fill panics rather than
+// touch arrays another cache may now own.
+func (c *Cache) Release() {
+	lineArrays.Put(c.lines)
+	plruArrays.Put(c.plru)
+	c.lines, c.plru = nil, nil
 }
 
 // Sets returns the number of sets.

@@ -270,6 +270,18 @@ func New(mode Mode, p Params) *Hierarchy {
 	return h
 }
 
+// Release hands the L1, LLC and directory arrays to the next hierarchy
+// built with the same geometry, so back-to-back runs reuse them. Call it
+// once the run's metrics are collected: any later access panics rather
+// than touch arrays another run may now own.
+func (h *Hierarchy) Release() {
+	for i := range h.l1 {
+		h.l1[i].Release()
+		h.llc[i].Release()
+	}
+	h.dir.Release()
+}
+
 // EnableADR attaches an Adaptive Directory Reduction controller (§III-D).
 func (h *Hierarchy) EnableADR() *core.ADR {
 	h.adr = core.NewADR(h.dir)

@@ -537,3 +537,18 @@ func TestQuickRaCCDDirQuiescent(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestReleasedHierarchyPanics: once Release has handed a hierarchy's
+// arrays to the next run, its next access panics instead of touching
+// them.
+func TestReleasedHierarchyPanics(t *testing.T) {
+	h := tiny(RaCCD)
+	h.Access(0, 0x1000, true, 1)
+	h.Release()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("access after Release did not panic")
+		}
+	}()
+	h.Access(0, 0x1000, false, 0)
+}

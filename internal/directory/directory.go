@@ -123,9 +123,24 @@ func New(cfg Config) *Directory {
 }
 
 func (d *Directory) alloc() {
-	n := d.banks * d.setsPerBank * d.ways
-	d.entries = make([]Entry, n)
-	d.plru = make([]uint8, d.banks*d.setsPerBank*maxInt(d.ways-1, 1))
+	d.entries = entryArrays.Get(d.banks * d.setsPerBank * d.ways)
+	d.plru = plruArrays.Get(d.banks * d.setsPerBank * maxInt(d.ways-1, 1))
+}
+
+// Arrays released by finished directories, reused by the next directory
+// built or resized to the same size.
+var (
+	entryArrays mem.Recycler[Entry]
+	plruArrays  mem.Recycler[uint8]
+)
+
+// Release hands the directory's entry and replacement arrays to the next
+// directory built with the same geometry. A later lookup or allocation
+// panics rather than touch arrays another directory may now own.
+func (d *Directory) Release() {
+	entryArrays.Put(d.entries)
+	plruArrays.Put(d.plru)
+	d.entries, d.plru = nil, nil
 }
 
 // Capacity returns the current total number of entries.
@@ -280,6 +295,9 @@ func (d *Directory) Resize(newSetsPerBank int) (dropped []Entry) {
 	if newSetsPerBank == d.setsPerBank {
 		return nil
 	}
+	// The replaced arrays go to the garbage collector, not the recycler:
+	// an ADR run passes through many sizes, and pooling each of them kept
+	// more memory live than reusing them saved.
 	old := d.entries
 	d.setsPerBank = newSetsPerBank
 	d.alloc()

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"raccd/internal/coherence"
+	"raccd/internal/energy"
 	"raccd/internal/machine"
 )
 
@@ -68,9 +69,11 @@ func TestMatrixMachineSweep(t *testing.T) {
 	if !ok {
 		t.Fatal("missing RaCCD result")
 	}
-	h, ok := r.Hierarchy.(*coherence.Hierarchy)
-	if !ok {
-		t.Fatalf("Hierarchy is %T, want *coherence.Hierarchy", r.Hierarchy)
+	// The run's own hierarchy is released; rebuild it from the config
+	// the matrix built, and tie the run to that geometry through DirKB.
+	h := coherence.New(coherence.RaCCD, m.config(coherence.RaCCD, 1).Params)
+	if want := energy.DirectorySizeKB(h.Dir().Capacity()); r.DirKB != want {
+		t.Fatalf("run charged a %g KB directory, want %g KB", r.DirKB, want)
 	}
 	if h.Params.Cores != 64 || h.Mesh().Tiles() != 64 {
 		t.Fatalf("sweep ran on %d cores / %d tiles, want 64", h.Params.Cores, h.Mesh().Tiles())

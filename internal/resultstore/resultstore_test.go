@@ -5,7 +5,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -41,14 +40,6 @@ func simulate(t *testing.T, cfg sim.Config, name string, scale float64) sim.Resu
 	return res
 }
 
-// resultsEquivalent compares results ignoring the non-serialized
-// Hierarchy handle (a Get after Put round-trips through JSON, which drops
-// it by design).
-func resultsEquivalent(a, b sim.Result) bool {
-	a.Hierarchy, b.Hierarchy = nil, nil
-	return reflect.DeepEqual(a, b)
-}
-
 func TestPutGetRoundTrip(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -68,7 +59,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("miss after Put")
 	}
-	if !resultsEquivalent(got, res) {
+	if got != res {
 		t.Fatalf("round-trip changed the result:\n got %+v\nwant %+v", got, res)
 	}
 	st := s.Stats()
@@ -81,7 +72,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got2, ok := s2.Get(key); !ok || !resultsEquivalent(got2, res) {
+	if got2, ok := s2.Get(key); !ok || got2 != res {
 		t.Fatal("reopened store lost the object")
 	}
 	if st2 := s2.Stats(); st2.Objects != 1 || st2.Bytes == 0 {
@@ -256,7 +247,7 @@ func TestGetOrComputeSingleFlight(t *testing.T) {
 		t.Fatalf("compute ran %d times, want 1", n)
 	}
 	for i := 1; i < callers; i++ {
-		if !resultsEquivalent(results[i], results[0]) {
+		if results[i] != results[0] {
 			t.Fatalf("caller %d got a different result", i)
 		}
 	}

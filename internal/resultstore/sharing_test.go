@@ -57,7 +57,7 @@ func TestCrossHandleGetOrCompute(t *testing.T) {
 		}
 	}
 	for i, r := range results {
-		if !resultsEquivalent(r, res) {
+		if r != res {
 			t.Fatalf("caller %d got a divergent result", i)
 		}
 	}
@@ -124,7 +124,7 @@ func TestEvictionRacingRead(t *testing.T) {
 				continue
 			}
 			hits.Add(1)
-			if !resultsEquivalent(got, res) {
+			if got != res {
 				readerErr = fmt.Errorf("hit returned a torn result")
 				return
 			}

@@ -41,10 +41,10 @@ func writeMisannotatedTrace(t *testing.T, valid int) string {
 }
 
 // TestPanickingRunFailsItsJob: a simulation that panics fails its own
-// job, not the daemon. Sweeps and batches run their simulations on
-// runner and coordinator goroutines, outside the job worker's recover,
-// so the panic must be contained by the simulation itself. The same
-// server then still completes a normal run.
+// job, not the daemon. Sweeps and batches run their simulations on the
+// coordinator's runner goroutines, not on the job's own goroutine whose
+// recover guards the job body, so the panic must be contained by the
+// simulation itself. The same server then still completes a normal run.
 func TestPanickingRunFailsItsJob(t *testing.T) {
 	_, c := newTestServer(t, Options{InFlight: 2})
 	ctx := context.Background()

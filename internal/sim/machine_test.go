@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"raccd/internal/coherence"
+	"raccd/internal/energy"
 	"raccd/internal/machine"
 	"raccd/internal/workloads"
 )
@@ -104,7 +105,6 @@ func TestCrossPresetDeterminism(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res.Hierarchy = nil // a host handle (pointer identity), not a metric
 				return res
 			}
 			var wg sync.WaitGroup
@@ -146,9 +146,14 @@ func TestScalingShrinksDirectoryPressure(t *testing.T) {
 		}
 		occ[preset.Name()] = res.DirOccupancy
 		hops[preset.Name()] = res.NoCByteHops
-		h := res.Hierarchy.(*coherence.Hierarchy)
-		if got := h.Dir().Banks(); got != preset.Cores {
+		// The run's own hierarchy is released; rebuild it from the same
+		// config, and tie the run to that geometry through DirKB.
+		dir := coherence.New(cfg.System, cfg.Params).Dir()
+		if got := dir.Banks(); got != preset.Cores {
 			t.Fatalf("%s: directory has %d banks, want %d", preset.Name(), got, preset.Cores)
+		}
+		if want := energy.DirectorySizeKB(dir.Capacity()); res.DirKB != want {
+			t.Fatalf("%s: run charged a %g KB directory, want %g KB", preset.Name(), res.DirKB, want)
 		}
 	}
 	if occ["m64"] >= occ["paper16"] {

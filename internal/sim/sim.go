@@ -156,6 +156,8 @@ func (c Config) cpuConfig(params coherence.Params) cpu.Config {
 }
 
 // Result carries every metric needed to regenerate the paper's figures.
+// It is a plain value: it holds no handle into the run's machine, whose
+// arrays the next run reuses, and two Results compare with ==.
 type Result struct {
 	Workload string
 	System   coherence.Mode
@@ -198,9 +200,8 @@ type Result struct {
 	PrefetchLate     uint64  `json:",omitempty"`
 	PrefetchCoverage float64 `json:",omitempty"`
 
-	Hierarchy rts.Machine `json:"-"` // retained for test inspection
-	HStats    coherence.Stats
-	RStats    rts.Stats
+	HStats coherence.Stats
+	RStats rts.Stats
 }
 
 // Run executes workload w under cfg and returns the collected metrics.
@@ -235,6 +236,10 @@ func RunContext(ctx context.Context, w Workload, cfg Config) (res Result, err er
 	params := cfg.Params.WithDirRatio(cfg.DirRatio)
 
 	h := coherence.New(cfg.System, params)
+	// The Result copies every metric out of h, so its arrays go back to
+	// the recycler however the run ends: done, failed, cancelled or
+	// panicking.
+	defer h.Release()
 	// Directory energy model. The sqrt access-energy curve is anchored at
 	// the 1:1 (unreduced) geometry: E0 is the per-access energy of the
 	// full-size directory. Every access is then charged at the capacity
@@ -343,9 +348,8 @@ func RunContext(ctx context.Context, w Workload, cfg Config) (res Result, err er
 		GraphEdges:   g.NumEdges(),
 		ADRFinalSets: dir.SetsPerBank(),
 
-		Hierarchy: h,
-		HStats:    hs,
-		RStats:    rt.Stats,
+		HStats: hs,
+		RStats: rt.Stats,
 	}
 	if hs.LLCDemand > 0 {
 		res.LLCHitRatio = float64(hs.LLCDemandHits) / float64(hs.LLCDemand)
