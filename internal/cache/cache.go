@@ -12,7 +12,6 @@ package cache
 
 import (
 	"fmt"
-	"math/bits"
 
 	"raccd/internal/mem"
 )
@@ -73,15 +72,15 @@ type Stats struct {
 type Cache struct {
 	sets       int
 	ways       int
-	indexShift uint    // block bits dropped before set indexing (bank bits)
-	lines      []Line  // sets*ways, laid out set-major
-	plru       []uint8 // ways-1 tree bits per set, packed one byte per bit
+	indexShift uint   // block bits dropped before set indexing (bank bits)
+	lines      []Line // sets*ways, laid out set-major
+	plru       PLRU
 
 	Stats Stats
 }
 
 // New returns a cache with the given geometry. sets and ways must be powers
-// of two (ways up to 16, enough for the 8-way structures in Table I).
+// of two (ways up to MaxWays, enough for the 8-way structures in Table I).
 func New(sets, ways int) *Cache {
 	return NewBanked(sets, ways, 0)
 }
@@ -99,24 +98,20 @@ func NewBanked(sets, ways int, indexShift uint) *Cache {
 		ways:       ways,
 		indexShift: indexShift,
 		lines:      lineArrays.Get(sets * ways),
-		plru:       plruArrays.Get(sets * max(ways-1, 1)),
+		plru:       NewPLRU(sets, ways),
 	}
 }
 
-// Arrays released by finished caches, reused by the next cache of the
-// same geometry.
-var (
-	lineArrays mem.Recycler[Line]
-	plruArrays mem.Recycler[uint8]
-)
+// lineArrays holds line arrays released by finished caches, reused by the
+// next cache of the same geometry.
+var lineArrays mem.Recycler[Line]
 
-// Release hands the cache's line and replacement arrays to the next cache
-// built with the same geometry. A later lookup or fill panics rather than
-// touch arrays another cache may now own.
+// Release hands the cache's line array to the next cache built with the
+// same geometry. A later lookup or fill panics rather than touch an array
+// another cache may now own.
 func (c *Cache) Release() {
 	lineArrays.Put(c.lines)
-	plruArrays.Put(c.plru)
-	c.lines, c.plru = nil, nil
+	c.lines = nil
 }
 
 // Sets returns the number of sets.
@@ -145,7 +140,7 @@ func (c *Cache) Lookup(b mem.Block) (*Line, bool) {
 	for w := range set {
 		if set[w].State != Invalid && set[w].Block == b {
 			c.Stats.Hits++
-			c.touch(idx, w)
+			c.plru.Touch(idx, w)
 			return &set[w], true
 		}
 	}
@@ -180,12 +175,12 @@ func (c *Cache) Insert(b mem.Block) (victim Line, line *Line) {
 		}
 	}
 	if way < 0 {
-		way = c.plruVictim(idx)
+		way = c.plru.Victim(idx)
 		victim = set[way]
 		c.Stats.Evictions++
 	}
 	set[way] = Line{Block: b, State: Invalid}
-	c.touch(idx, way)
+	c.plru.Touch(idx, way)
 	c.Stats.Fills++
 	return victim, &set[way]
 }
@@ -235,57 +230,4 @@ func (c *Cache) ResidentNC() int {
 		}
 	}
 	return n
-}
-
-// --- tree pseudo-LRU ---
-//
-// For w ways the tree has w-1 internal nodes stored as bytes (0 = left
-// subtree is older, 1 = right subtree is older is the inverse convention;
-// here a node bit points TOWARD the pseudo-least-recently-used half).
-// touch() flips the bits along the path away from the touched way;
-// plruVictim() follows the bits.
-
-func (c *Cache) plruBits(set int) []uint8 {
-	n := max(c.ways-1, 1)
-	return c.plru[set*n : (set+1)*n]
-}
-
-func (c *Cache) touch(set, way int) {
-	if c.ways == 1 {
-		return
-	}
-	bits := c.plruBits(set)
-	node := 0
-	levels := log2(c.ways)
-	for level := 0; level < levels; level++ {
-		bit := (way >> (levels - 1 - level)) & 1
-		// Point the node away from the way just used.
-		bits[node] = uint8(1 - bit)
-		node = 2*node + 1 + bit
-	}
-}
-
-func (c *Cache) plruVictim(set int) int {
-	if c.ways == 1 {
-		return 0
-	}
-	bits := c.plruBits(set)
-	node := 0
-	way := 0
-	levels := log2(c.ways)
-	for level := 0; level < levels; level++ {
-		b := int(bits[node])
-		way = way<<1 | b
-		node = 2*node + 1 + b
-	}
-	return way
-}
-
-func log2(v int) int { return bits.Len(uint(v)) - 1 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

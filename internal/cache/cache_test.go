@@ -14,7 +14,7 @@ func fill(t *testing.T, c *Cache, b mem.Block, st State) {
 }
 
 func TestGeometryValidation(t *testing.T) {
-	for _, bad := range [][2]int{{0, 2}, {3, 2}, {4, 3}, {-1, 2}, {4, 0}} {
+	for _, bad := range [][2]int{{0, 2}, {3, 2}, {4, 3}, {-1, 2}, {4, 0}, {4, 32}} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -312,5 +312,25 @@ func BenchmarkLookupHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Lookup(mem.Block(i & 255))
+	}
+}
+
+// BenchmarkInsertEvict measures a fill into a full set, which must pick a
+// PLRU victim: almost every L1 fill of the Fig 2 sweep takes this path.
+func BenchmarkInsertEvict(b *testing.B) {
+	c := New(256, 8)
+	for blk := mem.Block(0); blk < mem.Block(c.Capacity()); blk++ {
+		_, ln := c.Insert(blk)
+		ln.State = Shared
+	}
+	next := mem.Block(c.Capacity())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, ln := c.Insert(next)
+		ln.State = Shared
+		next++
+	}
+	if c.Stats.Evictions != uint64(b.N) {
+		b.Fatalf("%d evictions in %d inserts", c.Stats.Evictions, b.N)
 	}
 }

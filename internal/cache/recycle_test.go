@@ -11,7 +11,6 @@ import (
 func freshCache(sets, ways int, shift uint) *Cache {
 	c := NewBanked(sets, ways, shift)
 	c.lines = make([]Line, len(c.lines))
-	c.plru = make([]uint8, len(c.plru))
 	return c
 }
 
@@ -49,7 +48,7 @@ func victims(c *Cache) []mem.Block {
 // TestRecycledCacheMatchesFresh: a cache built on the arrays a filled
 // cache released behaves exactly like one built on new arrays: no
 // resident lines, zero stats, and the same victims for the same insert
-// stream (stale PLRU bits would change them).
+// stream (stale lines would change them).
 func TestRecycledCacheMatchesFresh(t *testing.T) {
 	const sets, ways, shift = 16, 8, 2
 	want := victims(freshCache(sets, ways, shift))

@@ -145,6 +145,30 @@ func DefaultParams() Params {
 	}
 }
 
+// CheckGeometry reports whether the L1, LLC and directory arrays p
+// describes can be built, naming the first field that cannot: every sets
+// and ways count must be a positive power of two, and every ways count at
+// most cache.MaxWays.
+func (p Params) CheckGeometry() error {
+	for _, f := range []struct {
+		name string
+		v    int
+		ways bool
+	}{
+		{"L1Sets", p.L1Sets, false}, {"L1Ways", p.L1Ways, true},
+		{"LLCSetsPerBank", p.LLCSetsPerBank, false}, {"LLCWays", p.LLCWays, true},
+		{"DirSetsPerBank", p.DirSetsPerBank, false}, {"DirWays", p.DirWays, true},
+	} {
+		if f.v <= 0 || f.v&(f.v-1) != 0 {
+			return fmt.Errorf("%s %d must be a positive power of two", f.name, f.v)
+		}
+		if f.ways && f.v > cache.MaxWays {
+			return fmt.Errorf("%s %d exceeds the %d ways modelled", f.name, f.v, cache.MaxWays)
+		}
+	}
+	return nil
+}
+
 // WithDirRatio returns a copy of p with the directory reduced by factor n
 // (the paper's 1:N configurations). n must divide the 1:1 sets per bank.
 func (p Params) WithDirRatio(n int) Params {

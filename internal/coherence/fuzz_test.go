@@ -8,9 +8,11 @@ import (
 
 // FuzzProtocol drives the full hierarchy with an arbitrary byte-encoded
 // access program across all four systems and checks the protocol invariants
-// plus last-write-wins final memory. Run with `go test -fuzz=FuzzProtocol
-// ./internal/coherence` for continuous exploration; the seed corpus runs as
-// a normal test.
+// after every access plus last-write-wins final memory. The per-access
+// check covers inclusion at every access boundary, which the
+// non-coherent fill relies on to skip the directory. Run with `go test
+// -fuzz=FuzzProtocol ./internal/coherence` for continuous exploration; the
+// seed corpus runs as a normal test.
 func FuzzProtocol(f *testing.F) {
 	f.Add([]byte{0x01, 0x82, 0x43, 0xc4, 0x05, 0x66})
 	f.Add([]byte{0xff, 0x00, 0xff, 0x00, 0x10, 0x20, 0x30, 0x40})
@@ -24,23 +26,25 @@ func FuzzProtocol(f *testing.F) {
 				op, arg := program[i], program[i+1]
 				c := int(op & 3)
 				addr := mem.Addr(arg&0x3f) * 64
-				switch {
-				case mode == RaCCD && op&0x40 != 0:
-					// Bracketed mini-task, respecting the task memory
-					// model (no concurrent NC writers).
+				write := op&0x80 != 0
+				// In RaCCD, a bracketed mini-task, respecting the task
+				// memory model (no concurrent NC writers).
+				task := mode == RaCCD && op&0x40 != 0
+				if task {
 					h.RegisterRegion(c, mem.Range{Start: addr, Size: 256})
-					h.Access(c, addr, op&0x80 != 0, val)
-					if op&0x80 != 0 {
-						last[addr] = val
-						val++
-					}
-					h.InvalidateNC(c)
-				case op&0x80 != 0:
+				}
+				if write {
 					h.Access(c, addr, true, val)
 					last[addr] = val
 					val++
-				default:
+				} else {
 					h.Access(c, addr, false, 0)
+				}
+				if err := h.CheckInvariants(); err != nil {
+					t.Fatalf("%v: after access %d: invariant violated: %v", mode, i/2, err)
+				}
+				if task {
+					h.InvalidateNC(c)
 				}
 			}
 			if mode == RaCCD {

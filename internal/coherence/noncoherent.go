@@ -18,19 +18,23 @@ func (h *Hierarchy) ncFill(c, tid int, b mem.Block, write bool, val uint64) (lat
 
 	// §III-E transition coherent→non-coherent: if the block still has a
 	// directory entry, deallocate it (recalling any stale L1 copies).
-	if entry, ok := h.dir.Peek(b); ok {
-		h.recallSharers(entry, home, c)
-		h.dir.Free(b)
-		if lline, ok := h.llc[home].Peek(b); ok {
+	// Inclusion puts an entry only beside a resident, coherent LLC line,
+	// so no other line needs the directory probed. The recall touches
+	// only L1s and Peeks the LLC, so probing the LLC first leaves its
+	// replacement state as a probe after the recall would.
+	lline, ok := h.llc[home].Lookup(b)
+	if ok && !lline.NC {
+		if entry, hasDir := h.dir.Peek(b); hasDir {
+			h.recallSharers(entry, home, c)
+			h.dir.Free(b)
 			lline.NC = true
 		}
 	}
 
 	var v uint64
-	lline, ok := h.llc[home].Lookup(b)
 	if ok {
 		h.Stats.LLCDemandHits++
-		v = lline.Val
+		v = lline.Val // after the recall, which may have written it back
 	} else {
 		// LLC miss: non-coherent request to memory.
 		latency += h.Params.MemCycles

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"raccd/internal/cache"
 	"raccd/internal/mem"
 )
 
@@ -84,7 +85,7 @@ type Directory struct {
 	maxSets     int // sets per bank at full (1:1) size
 	minSets     int // floor for ADR halving
 	entries     []Entry
-	plru        []uint8
+	plru        cache.PLRU
 
 	occupancy int
 	Stats     Stats
@@ -98,7 +99,8 @@ type Config struct {
 	MinSets     int // smallest sets/bank ADR may reach (power of two, >=1)
 }
 
-// New builds a directory. All geometry fields must be powers of two.
+// New builds a directory. All geometry fields must be powers of two, and
+// Ways at most cache.MaxWays.
 func New(cfg Config) *Directory {
 	if cfg.MinSets == 0 {
 		cfg.MinSets = 1
@@ -124,23 +126,19 @@ func New(cfg Config) *Directory {
 
 func (d *Directory) alloc() {
 	d.entries = entryArrays.Get(d.banks * d.setsPerBank * d.ways)
-	d.plru = plruArrays.Get(d.banks * d.setsPerBank * maxInt(d.ways-1, 1))
+	d.plru = cache.NewPLRU(d.banks*d.setsPerBank, d.ways)
 }
 
-// Arrays released by finished directories, reused by the next directory
-// built or resized to the same size.
-var (
-	entryArrays mem.Recycler[Entry]
-	plruArrays  mem.Recycler[uint8]
-)
+// entryArrays holds entry arrays released by finished directories, reused
+// by the next directory built or resized to the same size.
+var entryArrays mem.Recycler[Entry]
 
-// Release hands the directory's entry and replacement arrays to the next
-// directory built with the same geometry. A later lookup or allocation
-// panics rather than touch arrays another directory may now own.
+// Release hands the directory's entry array to the next directory built
+// with the same geometry. A later lookup or allocation panics rather than
+// touch an array another directory may now own.
 func (d *Directory) Release() {
 	entryArrays.Put(d.entries)
-	plruArrays.Put(d.plru)
-	d.entries, d.plru = nil, nil
+	d.entries = nil
 }
 
 // Capacity returns the current total number of entries.
@@ -185,7 +183,7 @@ func (d *Directory) Lookup(b mem.Block) (*Entry, bool) {
 	for w := range set {
 		if set[w].Valid && set[w].Block == b {
 			d.Stats.Hits++
-			d.touch(idx, w)
+			d.plru.Touch(idx, w)
 			return &set[w], true
 		}
 	}
@@ -220,13 +218,13 @@ func (d *Directory) Allocate(b mem.Block) (victim Entry, entry *Entry) {
 		}
 	}
 	if way < 0 {
-		way = d.plruVictim(idx)
+		way = d.plru.Victim(idx)
 		victim = set[way]
 		d.Stats.Evictions++
 		d.occupancy--
 	}
 	set[way] = Entry{Block: b, Valid: true, Owner: NoOwner}
-	d.touch(idx, way)
+	d.plru.Touch(idx, way)
 	d.Stats.Allocations++
 	d.occupancy++
 	return victim, &set[way]
@@ -314,7 +312,7 @@ func (d *Directory) Resize(newSetsPerBank int) (dropped []Entry) {
 		for w := range set {
 			if !set[w].Valid {
 				set[w] = e
-				d.touch(idx, w)
+				d.plru.Touch(idx, w)
 				d.occupancy++
 				placed = true
 				break
@@ -326,48 +324,4 @@ func (d *Directory) Resize(newSetsPerBank int) (dropped []Entry) {
 		}
 	}
 	return dropped
-}
-
-// --- tree pseudo-LRU (same scheme as internal/cache) ---
-
-func (d *Directory) plruBits(set int) []uint8 {
-	n := maxInt(d.ways-1, 1)
-	return d.plru[set*n : (set+1)*n]
-}
-
-func (d *Directory) touch(set, way int) {
-	if d.ways == 1 {
-		return
-	}
-	pb := d.plruBits(set)
-	node := 0
-	levels := bits.Len(uint(d.ways)) - 1
-	for level := 0; level < levels; level++ {
-		bit := (way >> (levels - 1 - level)) & 1
-		pb[node] = uint8(1 - bit)
-		node = 2*node + 1 + bit
-	}
-}
-
-func (d *Directory) plruVictim(set int) int {
-	if d.ways == 1 {
-		return 0
-	}
-	pb := d.plruBits(set)
-	node := 0
-	way := 0
-	levels := bits.Len(uint(d.ways)) - 1
-	for level := 0; level < levels; level++ {
-		b := int(pb[node])
-		way = way<<1 | b
-		node = 2*node + 1 + b
-	}
-	return way
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

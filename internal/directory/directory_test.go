@@ -30,6 +30,7 @@ func TestGeometryValidation(t *testing.T) {
 		{Banks: 4, Ways: 0, SetsPerBank: 4},
 		{Banks: 4, Ways: 2, SetsPerBank: 6},
 		{Banks: 4, Ways: 2, SetsPerBank: 2, MinSets: 4},
+		{Banks: 4, Ways: 32, SetsPerBank: 4},
 	}
 	for _, cfg := range bad {
 		func() {
@@ -328,5 +329,41 @@ func TestQuickVictimSameSet(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// fullDirectory returns a paper16 directory at 1:1 with every entry
+// valid, and the first block it does not hold.
+func fullDirectory() (*Directory, mem.Block) {
+	d := New(Config{Banks: 16, Ways: 8, SetsPerBank: 256, MinSets: 1})
+	n := mem.Block(d.Capacity())
+	for b := mem.Block(0); b < n; b++ {
+		d.Allocate(b)
+	}
+	return d, n
+}
+
+// BenchmarkLookupMiss measures a probe that scans a full set and finds
+// nothing, as a coherent fill of a block the directory does not track.
+func BenchmarkLookupMiss(b *testing.B) {
+	d, next := fullDirectory()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, hit := d.Lookup(next + mem.Block(i)); hit {
+			b.Fatal("lookup of an untracked block hit")
+		}
+	}
+}
+
+// BenchmarkAllocateEvict measures an allocation into a full set, which
+// must evict a PLRU victim.
+func BenchmarkAllocateEvict(b *testing.B) {
+	d, next := fullDirectory()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.Allocate(next + mem.Block(i))
+	}
+	if d.Stats.Evictions != uint64(b.N) {
+		b.Fatalf("%d evictions in %d allocations", d.Stats.Evictions, b.N)
 	}
 }

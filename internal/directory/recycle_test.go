@@ -11,7 +11,6 @@ import (
 func freshDirectory(cfg Config) *Directory {
 	d := New(cfg)
 	d.entries = make([]Entry, len(d.entries))
-	d.plru = make([]uint8, len(d.plru))
 	return d
 }
 
@@ -49,7 +48,7 @@ func victims(d *Directory) []mem.Block {
 // filled directory released, after an ADR Resize or without one, behaves
 // exactly like one built on new arrays: no valid entries, zero occupancy
 // and stats, and the same victims for the same allocation stream (stale
-// PLRU bits would change them).
+// entries would change them).
 func TestRecycledDirectoryMatchesFresh(t *testing.T) {
 	full := Config{Banks: 4, Ways: 4, SetsPerBank: 8, MinSets: 1}
 	for _, resize := range []bool{false, true} {

@@ -246,26 +246,8 @@ func (m Machine) Check() error {
 	if n.MeshW*n.MeshH != n.Cores {
 		return fmt.Errorf("machine: %d×%d mesh cannot connect %d cores", n.MeshW, n.MeshH, n.Cores)
 	}
-	pow2 := func(name string, v int) error {
-		if v <= 0 || v&(v-1) != 0 {
-			return fmt.Errorf("machine: %s %d must be a positive power of two", name, v)
-		}
-		return nil
-	}
-	for _, f := range []struct {
-		name string
-		v    int
-	}{
-		{"L1 sets", n.L1Sets}, {"L1 ways", n.L1Ways},
-		{"LLC sets/bank", n.LLCSetsPerBank}, {"LLC ways", n.LLCWays},
-		{"directory sets/bank", n.DirSetsPerBank}, {"directory ways", n.DirWays},
-	} {
-		if err := pow2(f.name, f.v); err != nil {
-			return err
-		}
-	}
-	if n.L1Ways > 16 || n.LLCWays > 16 || n.DirWays > 16 {
-		return fmt.Errorf("machine: associativity above 16 ways is not modelled")
+	if err := n.Params().CheckGeometry(); err != nil {
+		return fmt.Errorf("machine: %w", err)
 	}
 	if n.TLBEntries <= 0 {
 		return fmt.Errorf("machine: TLB capacity %d must be positive", n.TLBEntries)

@@ -82,6 +82,7 @@ const maxSMTWays = 16
 
 // Check reports whether the configuration describes a runnable machine,
 // with a descriptive error when it does not: unknown scheduler policies,
+// L1, LLC or directory geometry the arrays cannot be built with,
 // directory ratios the directory geometry cannot realize, out-of-range SMT
 // widths, page contiguity outside [0, 1] and ADR on a system with nothing
 // to deactivate are all rejected
@@ -113,6 +114,9 @@ func (c Config) Check() error {
 		if w <= 0 || h <= 0 || w*h != params.Cores {
 			return fmt.Errorf("sim: %d×%d mesh cannot connect %d cores", params.MeshW, params.MeshH, params.Cores)
 		}
+	}
+	if err := params.CheckGeometry(); err != nil {
+		return fmt.Errorf("sim: %w", err)
 	}
 	if c.DirRatio < 0 {
 		return fmt.Errorf("sim: negative directory ratio 1:%d", c.DirRatio)

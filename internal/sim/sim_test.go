@@ -316,6 +316,13 @@ func TestConfigCheck(t *testing.T) {
 		{"adr on fullcoh", func(c *Config) { c.System = coherence.FullCoh; c.ADR = true }, "ADR"},
 		{"contiguity above one", func(c *Config) { c.Params.Contiguity = 5 }, "contiguity"},
 		{"negative contiguity", func(c *Config) { c.Params.Contiguity = -0.5 }, "contiguity"},
+		{"non-pow2 L1 sets", func(c *Config) { c.Params.L1Sets = 48 }, "L1Sets"},
+		{"zero L1 ways", func(c *Config) { c.Params.L1Ways = 0 }, "L1Ways"},
+		{"negative LLC sets", func(c *Config) { c.Params.LLCSetsPerBank = -256 }, "LLCSetsPerBank"},
+		{"3 LLC ways", func(c *Config) { c.Params.LLCWays = 3 }, "LLCWays"},
+		{"32 LLC ways", func(c *Config) { c.Params.LLCWays = 32 }, "LLCWays"},
+		{"non-pow2 dir sets", func(c *Config) { c.Params.DirSetsPerBank = 96 }, "DirSetsPerBank"},
+		{"32 dir ways", func(c *Config) { c.Params.DirWays = 32 }, "DirWays"},
 	}
 	for _, tc := range cases {
 		cfg := DefaultConfig(coherence.RaCCD, 1)
