@@ -1,7 +1,9 @@
 package coherence
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"raccd/internal/cache"
 	"raccd/internal/directory"
@@ -59,38 +61,40 @@ func (h *Hierarchy) NonCoherentFraction() float64 {
 // CheckInvariants verifies the protocol invariants described in the package
 // comment. It is O(total lines) and intended for tests.
 func (h *Hierarchy) CheckInvariants() error {
-	// SWMR: at most one M/E copy per block; M/E excludes S copies.
-	type holders struct {
-		m, e, s int
+	// SWMR: at most one M/E copy per block; M/E excludes S copies. The
+	// coherent L1 copies go into one slice, sorted so that each block's
+	// copies are adjacent and blocks are checked in ascending order.
+	type blockCopy struct {
+		block mem.Block
+		state cache.State
 	}
-	perBlock := map[mem.Block]*holders{}
+	copies := make([]blockCopy, 0, len(h.l1)*h.l1[0].Capacity())
 	for c := range h.l1 {
-		cc := c
-		h.l1[cc].Walk(func(ln *cache.Line) {
-			if ln.NC {
-				return // NC copies are exempt by construction
-			}
-			hd := perBlock[ln.Block]
-			if hd == nil {
-				hd = &holders{}
-				perBlock[ln.Block] = hd
-			}
-			switch ln.State {
-			case cache.Modified:
-				hd.m++
-			case cache.Exclusive:
-				hd.e++
-			case cache.Shared:
-				hd.s++
+		h.l1[c].Walk(func(ln *cache.Line) {
+			if !ln.NC { // NC copies are exempt by construction
+				copies = append(copies, blockCopy{ln.Block, ln.State})
 			}
 		})
 	}
-	for b, hd := range perBlock {
-		if hd.m+hd.e > 1 {
-			return fmt.Errorf("block %d: %d M + %d E copies", b, hd.m, hd.e)
+	slices.SortFunc(copies, func(a, b blockCopy) int { return cmp.Compare(a.block, b.block) })
+	for i := 0; i < len(copies); {
+		b := copies[i].block
+		var m, e, s int
+		for ; i < len(copies) && copies[i].block == b; i++ {
+			switch copies[i].state {
+			case cache.Modified:
+				m++
+			case cache.Exclusive:
+				e++
+			case cache.Shared:
+				s++
+			}
 		}
-		if (hd.m > 0 || hd.e > 0) && hd.s > 0 {
-			return fmt.Errorf("block %d: M/E copy coexists with %d S copies", b, hd.s)
+		if m+e > 1 {
+			return fmt.Errorf("block %d: %d M + %d E copies", b, m, e)
+		}
+		if (m > 0 || e > 0) && s > 0 {
+			return fmt.Errorf("block %d: M/E copy coexists with %d S copies", b, s)
 		}
 	}
 	// Inclusion: coherent L1 line ⇒ LLC line ⇒ directory entry; NC lines

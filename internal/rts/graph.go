@@ -21,8 +21,9 @@ type Graph struct {
 	// Dependence state per virtual block, in lazily-allocated per-page
 	// chunks indexed by page number relative to the first touched page:
 	// workload arenas are contiguous (but start at a large base address),
-	// so this stays dense, and graph construction — one probe and one
-	// update per block per dependence — performs no map operations.
+	// so this stays dense. Add walks each range page by page and looks up
+	// a page's chunk once, so graph construction performs no map
+	// operations and one chunk lookup per page, not per block.
 	track mem.PagedDir[blockTrack]
 }
 
@@ -30,12 +31,15 @@ type Graph struct {
 // one virtual page.
 type blockTrack struct {
 	lastWriter [mem.BlocksPerPage]*Task
-	readers    [mem.BlocksPerPage][]*Task
+	readers    [mem.BlocksPerPage]*readerList
 }
 
-// trackFor returns the chunk covering block b, allocating it on first use.
-func (g *Graph) trackFor(b mem.Block) *blockTrack {
-	return g.track.GetOrCreate(uint64(b) / mem.BlocksPerPage)
+// readerList is an immutable list of the tasks that read a block since its
+// last write, newest first. Blocks with the same readers share one list, so
+// a read allocates one cell per distinct list it extends, not one per block.
+type readerList struct {
+	task *Task
+	next *readerList
 }
 
 // NewGraph returns an empty TDG.
@@ -50,6 +54,21 @@ func (g *Graph) NumTasks() int { return len(g.tasks) }
 // NumEdges returns the number of dependence edges.
 func (g *Graph) NumEdges() uint64 { return g.edges }
 
+// eachPage calls fn once for every page r touches, with the page number and
+// the half-open span [lo, hi) of r's blocks within that page.
+func eachPage(r mem.Range, fn func(page uint64, lo, hi int)) {
+	if r.Empty() {
+		return
+	}
+	end := uint64(r.LastBlock()) + 1
+	for b := uint64(r.FirstBlock()); b < end; {
+		page := b / mem.BlocksPerPage
+		next := (page + 1) * mem.BlocksPerPage
+		fn(page, int(b-page*mem.BlocksPerPage), int(min(next, end)-page*mem.BlocksPerPage))
+		b = next
+	}
+}
+
 // Add creates a task with the given dependences and body and inserts it into
 // the TDG. It mirrors #pragma omp task depend(...).
 func (g *Graph) Add(name string, deps []Dep, body Kernel) *Task {
@@ -63,7 +82,9 @@ func (g *Graph) Add(name string, deps []Dep, body Kernel) *Task {
 	}
 	// A predecessor found through several blocks must contribute one edge;
 	// the predOf mark on the predecessor itself replaces a per-Add dedup
-	// map (each task is marked at most once per Add call).
+	// map (each task is marked at most once per Add call). The order in
+	// which predecessors are found is immaterial: each gains t once, at
+	// the end of its successors.
 	addPred := func(p *Task) {
 		if p == nil || p == t || p.predOf == t {
 			return
@@ -73,36 +94,63 @@ func (g *Graph) Add(name string, deps []Dep, body Kernel) *Task {
 		t.npreds++
 		g.edges++
 	}
+	// First pass: RAW and WAW on each block's last writer, WAR on its
+	// readers. Neighbouring blocks usually share a last writer and a
+	// reader list, so each is visited only when it differs from the one
+	// the previous block had.
+	var writer *Task
+	var walked *readerList
 	for _, d := range deps {
-		d.Range.Blocks(func(b mem.Block) bool {
-			tr := g.trackFor(b)
-			i := uint64(b) % mem.BlocksPerPage
-			if d.Mode.Reads() {
-				addPred(tr.lastWriter[i])
+		reads, writes := d.Mode.Reads(), d.Mode.Writes()
+		if !reads && !writes {
+			continue // no valid mode: the dependence names nothing
+		}
+		eachPage(d.Range, func(page uint64, lo, hi int) {
+			tr := g.track.Get(page)
+			if tr == nil {
+				return // never touched: no writer, no readers
 			}
-			if d.Mode.Writes() {
-				addPred(tr.lastWriter[i])
-				for _, r := range tr.readers[i] {
-					addPred(r)
+			for i := lo; i < hi; i++ {
+				if w := tr.lastWriter[i]; w != writer {
+					writer = w
+					addPred(w)
+				}
+				if writes && tr.readers[i] != walked {
+					walked = tr.readers[i]
+					for l := walked; l != nil; l = l.next {
+						addPred(l.task)
+					}
 				}
 			}
-			return true
 		})
 	}
 	// Second pass: update block state (kept separate so a task never
-	// depends on itself through an inout range).
+	// depends on itself through an inout range). A write empties the
+	// block's reader list; a read puts t at its head unless t is already
+	// there. ext memoises the last extension, so blocks that shared a list
+	// share its extension.
+	var ext *readerList
 	for _, d := range deps {
-		d.Range.Blocks(func(b mem.Block) bool {
-			tr := g.trackFor(b)
-			i := uint64(b) % mem.BlocksPerPage
-			if d.Mode.Writes() {
-				tr.lastWriter[i] = t
-				tr.readers[i] = tr.readers[i][:0]
+		reads, writes := d.Mode.Reads(), d.Mode.Writes()
+		eachPage(d.Range, func(page uint64, lo, hi int) {
+			tr := g.track.GetOrCreate(page)
+			if writes {
+				for i := lo; i < hi; i++ {
+					tr.lastWriter[i] = t
+				}
+				clear(tr.readers[lo:hi])
 			}
-			if d.Mode.Reads() {
-				tr.readers[i] = append(tr.readers[i], t)
+			if !reads {
+				return
 			}
-			return true
+			for i := lo; i < hi; i++ {
+				if l := tr.readers[i]; l == nil || l.task != t {
+					if ext == nil || ext.next != l {
+						ext = &readerList{task: t, next: l}
+					}
+					tr.readers[i] = ext
+				}
+			}
 		})
 	}
 	t.waiting = t.npreds

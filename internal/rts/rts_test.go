@@ -111,6 +111,46 @@ func TestGraphBlockGranularity(t *testing.T) {
 	}
 }
 
+// TestAddAllocatesPerRangeNotPerBlock pins Graph.Add's allocations to the
+// ranges and pages it is given, not to the blocks (64 per page) they cover.
+func TestAddAllocatesPerRangeNotPerBlock(t *testing.T) {
+	const pages = 4
+	const size = pages * mem.PageSize
+	t.Run("fresh pages", func(t *testing.T) {
+		// Each round writes, twice reads and then updates a range on
+		// pages no task has touched: 4 ranges, 4 tasks.
+		const rounds = 20
+		deps := make([][]Dep, 0, 4*(rounds+1))
+		for i := uint64(0); i <= rounds; i++ {
+			r := rng(0x1000_0000+i*size, size)
+			deps = append(deps, []Dep{{r, Out}}, []Dep{{r, In}}, []Dep{{r, In}}, []Dep{{r, InOut}})
+		}
+		g := NewGraph()
+		allocs := testing.AllocsPerRun(rounds, func() {
+			for _, d := range deps[:4] {
+				g.Add("t", d, nil)
+			}
+			deps = deps[4:]
+		})
+		// One chunk per page, plus per range its task, its reader-list
+		// cell and the growth of its predecessors' successor lists.
+		if limit := float64(pages + 4*4); allocs > limit {
+			t.Errorf("%.1f allocations per round over %d fresh pages, want <= %.0f", allocs, pages, limit)
+		}
+	})
+	t.Run("touched pages", func(t *testing.T) {
+		// Readers pile up on a range whose chunks exist: each is one
+		// task and one reader-list cell shared by all 256 blocks.
+		r := []Dep{{rng(0x1000_0000, size), In}}
+		g := NewGraph()
+		g.Add("w", []Dep{{rng(0x1000_0000, size), Out}}, nil)
+		allocs := testing.AllocsPerRun(100, func() { g.Add("r", r, nil) })
+		if allocs > 4 {
+			t.Errorf("%.1f allocations per reader of %d touched pages, want <= 4", allocs, pages)
+		}
+	})
+}
+
 func TestGoldenWriters(t *testing.T) {
 	g := NewGraph()
 	g.Add("w1", []Dep{{rng(0, 128), Out}}, nil) // blocks 0,1
@@ -264,6 +304,46 @@ func TestRuntimeRunsAllTasksInDepOrder(t *testing.T) {
 	}
 	if makespan == 0 {
 		t.Fatal("zero makespan")
+	}
+}
+
+// coreLatMachine charges each core its own fixed access latency.
+type coreLatMachine []uint64
+
+func (m coreLatMachine) Access(core int, _ mem.Addr, _ bool, _ uint64) uint64 { return m[core] }
+func (coreLatMachine) RegisterRegion(int, mem.Range) uint64                   { return 0 }
+func (coreLatMachine) InvalidateNC(int) uint64                                { return 0 }
+
+// TestRunResetsAffinity runs one graph on two machines in turn under the
+// locality scheduler, which reads each task's affinity. The second run
+// must match a fresh graph's run on that machine: affinity is run-time
+// state, reset with readiness and timing.
+func TestRunResetsAffinity(t *testing.T) {
+	build := func() *Graph {
+		g := NewGraph()
+		body := func(ctx *Ctx) {
+			for _, d := range ctx.Task.Deps {
+				ctx.LoadRange(d.Range)
+			}
+		}
+		for i := uint64(0); i < 32; i++ {
+			r := rng(0x1000_0000+i*mem.PageSize, 8*mem.BlockSize)
+			g.Add("produce", []Dep{{r, Out}}, body)
+			g.Add("consume", []Dep{{r, In}}, body)
+		}
+		return g
+	}
+	a := coreLatMachine{1, 40, 40, 40}
+	b := coreLatMachine{40, 40, 40, 1}
+	run := func(m Machine, g *Graph) uint64 {
+		return NewRuntime(m, len(a), NewLocality()).Run(g)
+	}
+	reused := build()
+	run(a, reused)
+	got := run(b, reused)
+	want := run(b, build())
+	if got != want {
+		t.Fatalf("second run on machine B: makespan %d, fresh graph on B: %d", got, want)
 	}
 }
 

@@ -322,6 +322,7 @@ func (r *Runtime) Run(g *Graph) (makespan uint64) {
 		t.ready = false
 		t.ReadyTime = 0
 		t.EndTime = 0
+		t.affinity = -1
 	}
 	for _, t := range g.Roots() {
 		t.ReadyTime = 0
