@@ -1,5 +1,5 @@
-// Ablation benchmarks for the design choices DESIGN.md calls out: scheduler
-// policy (the source of temporarily-private data), NCRT capacity (what the
+// Ablation benchmarks for the model's design choices: scheduler policy
+// (the source of temporarily-private data), NCRT capacity (what the
 // 32-entry table of Table I buys), physical page contiguity (the Fig 5
 // collapse assumption), L1 write policy (§III-C3 supports both), and the
 // §III-E SMT extension.
@@ -117,7 +117,7 @@ func BenchmarkAblationDirAssociativity(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			cfg := DefaultConfig(FullCoh, 1).toSim()
+			cfg := DefaultConfig(FullCoh, 1).Resolve()
 			cfg.Params.DirWays = ways
 			cfg.Params.DirSetsPerBank = 256 * 8 / ways // constant capacity
 			cfg.DirRatio = 8
@@ -140,7 +140,7 @@ func BenchmarkAblationNoCTopology(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			cfg := DefaultConfig(RaCCD, 1).toSim()
+			cfg := DefaultConfig(RaCCD, 1).Resolve()
 			cfg.Params.NoCTopology = topo
 			res, err := sim.Run(w, cfg)
 			if err != nil {

@@ -1,8 +1,10 @@
 // Benchmark harness: one testing.B benchmark per table and figure of the
 // paper's evaluation section. Each benchmark runs the simulations that
-// regenerate its figure and reports the headline numbers via b.ReportMetric,
-// so `go test -bench=. -benchmem` reproduces the whole evaluation and
-// EXPERIMENTS.md records paper-vs-measured for every entry.
+// regenerate its figure and reports the headline numbers via
+// b.ReportMetric, so `go test -bench=. -benchmem` reproduces the whole
+// evaluation. The paper's value for each entry is quoted in the
+// benchmark's comment; EXPERIMENTS.md maps each figure to the command
+// that regenerates it.
 package raccd
 
 import (

@@ -12,6 +12,10 @@
 //	raccdsim -trace run.rtf                 # replay a recorded RTF trace
 //	raccdsim -synth chain/seed=7            # a seeded synthetic task graph
 //
+// -system takes fullcoh, pt, pt-ro (or ptro) or raccd, in any case.
+// -ncrt-latency takes a whole number of cycles, at least 1; -contiguity
+// takes a fraction in (0, 1]; -scale takes a finite non-negative factor.
+//
 // With more than one benchmark the runs fan out across -jobs workers
 // (default: one per CPU) and results print in the order the benchmarks
 // were named. Ctrl-C cancels cleanly.
@@ -41,15 +45,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		bench       = fs.String("bench", "", "benchmark name(s), comma-separated, or \"all\" (see -list); default Jacobi")
 		tracePaths  = fs.String("trace", "", "RTF trace file(s) to replay, comma-separated (see cmd/raccdtrace)")
 		synthSpecs  = fs.String("synth", "", "synthetic workload spec(s), comma-separated: preset[/key=val]...")
-		system      = fs.String("system", "raccd", "system: fullcoh, pt, ptro, raccd")
+		system      = fs.String("system", "raccd", "system: fullcoh, pt, pt-ro (or ptro), raccd; any case")
 		machineName = fs.String("machine", "", "machine preset: paper16 (default), m32, m64, or a power-of-two core count")
 		ratio       = fs.Int("ratio", 1, "directory reduction 1:N (1,2,4,8,16,64,256)")
 		adr         = fs.Bool("adr", false, "enable adaptive directory reduction")
 		scale       = fs.Float64("scale", 1.0, "problem scale (1.0 = Table II ÷ 16)")
 		sched       = fs.String("sched", "fifo", "scheduler: fifo, lifo, locality")
-		ncrtLatency = fs.Uint64("ncrt-latency", 1, "NCRT lookup latency in cycles")
+		ncrtLatency = fs.Uint64("ncrt-latency", 1, "NCRT lookup latency in cycles, at least 1")
 		wt          = fs.Bool("writethrough", false, "write-through private caches")
-		contiguity  = fs.Float64("contiguity", 1.0, "physical page contiguity 0..1")
+		contiguity  = fs.Float64("contiguity", 1.0, "physical page contiguity in (0, 1]")
 		novalidate  = fs.Bool("novalidate", false, "skip golden-memory validation")
 		smt         = fs.Int("smt", 1, "hardware threads per core (SMT ways)")
 		coreModel   = fs.String("core", "", "core timing model: simple (default) or ooo")
@@ -71,18 +75,20 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	var sys raccd.System
-	switch strings.ToLower(*system) {
-	case "fullcoh", "full":
-		sys = raccd.FullCoh
-	case "pt":
-		sys = raccd.PT
-	case "raccd":
-		sys = raccd.RaCCD
-	case "ptro", "pt-ro":
-		sys = raccd.PTRO
-	default:
-		fmt.Fprintf(stderr, "raccdsim: unknown system %q\n", *system)
+	sys, err := raccd.ParseSystem(*system)
+	if err != nil {
+		fmt.Fprintln(stderr, "raccdsim:", err)
+		return 2
+	}
+	// The library reads a zero NCRT latency or contiguity as "keep the
+	// default", so an explicit 0 here would silently simulate the
+	// opposite of what was asked.
+	if *ncrtLatency == 0 {
+		fmt.Fprintln(stderr, "raccdsim: -ncrt-latency must be at least 1 cycle (0 would select the default, 1)")
+		return 2
+	}
+	if *contiguity == 0 {
+		fmt.Fprintln(stderr, "raccdsim: -contiguity must be in (0, 1] (0 would select the default, 1)")
 		return 2
 	}
 
@@ -126,10 +132,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	cfg := raccd.DefaultConfig(sys, *ratio)
-	cfg.Machine = mach
-	cfg.Machine.Core = *coreModel
-	cfg.Machine.PrefetchDegree = *prefetch
-	cfg.Machine.PrefetchDistance = *prefetchDst
+	cfg.Machine = mach.WithTiming(*coreModel, *prefetch, *prefetchDst)
 	cfg.ADR = *adr
 	cfg.Scheduler = *sched
 	cfg.NCRTLatency = *ncrtLatency

@@ -126,6 +126,9 @@ func TestInvalidConfigRejectedUpFront(t *testing.T) {
 		{"-smt", "-1"},
 		{"-sched", "random"},
 		{"-contiguity", "2.0"},
+		{"-contiguity", "0"},
+		{"-ncrt-latency", "0"},
+		{"-scale", "-1"},
 		{"-adr", "-system", "fullcoh"},
 		{"-engine", "seq"},
 		{"-shards", "2"},

@@ -291,8 +291,9 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	go func() {
-		// First signal: cancel the sweep, let in-flight simulations
-		// finish. Second signal: default handling, i.e. die now.
+		// First signal: cancel the sweep; in-flight simulations stop at
+		// their next task dispatch. Second signal: default handling,
+		// i.e. die now.
 		<-ctx.Done()
 		stop()
 	}()

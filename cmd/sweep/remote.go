@@ -10,7 +10,6 @@ import (
 	"raccd/internal/obs" //raccd:layering-ok mints the fleet-wide trace ID workers must share; client deliberately redeclares rather than exports it
 	"raccd/internal/report"
 	"raccd/internal/service/fabric"
-	"raccd/internal/sim" //raccd:layering-ok remote CSV rows re-index by report.Key into sim.Result to merge byte-identically with local figures
 )
 
 // Transient daemon hiccups (503 queue-full, connection refused during a
@@ -54,15 +53,11 @@ func runRemote(ctx context.Context, m report.Matrix, machineName, endpoint strin
 	if err != nil {
 		return nil, fmt.Errorf("%s: parsing results: %w", endpoint, err)
 	}
-	byKey := make(map[report.Key]sim.Result, len(specs))
-	for _, res := range parsed.Results() {
-		byKey[report.Key{Workload: res.Workload, System: res.System, Ratio: res.DirRatio, ADR: res.ADR}] = res
-	}
 	set := report.NewSet(nil)
 	for _, k := range m.Keys() {
-		res, ok := byKey[k]
+		res, ok := parsed.Get(k.Workload, k.System, k.Ratio, k.ADR)
 		if !ok {
-			return nil, fmt.Errorf("%s: results missing %s/%s 1:%d", endpoint, k.Workload, k.System, k.Ratio)
+			return nil, fmt.Errorf("%s: results missing %v", endpoint, k)
 		}
 		set.Add(res)
 	}

@@ -2,12 +2,12 @@
 // directory protocol, with the non-coherent transaction variants that RaCCD
 // and the PT baseline use to bypass the directory (§III-C3).
 //
-// Topology (Table I, capacity-scaled ÷16; see DESIGN.md §4): a tile per
-// core — private write-back L1 data cache, one LLC bank and one directory
-// bank — connected by a W×H mesh. The default geometry is the paper's 16
-// tiles on a 4×4 mesh; Params scales it (internal/machine holds the
-// presets). Blocks are interleaved across banks by their low block-number
-// bits.
+// Topology (Table I, capacity-scaled ÷16; see the scaling rule in
+// docs/MACHINE.md): a tile per core — private write-back L1 data cache,
+// one LLC bank and one directory bank — connected by a W×H mesh. The
+// default geometry is the paper's 16 tiles on a 4×4 mesh; Params scales
+// it (internal/machine holds the presets). Blocks are interleaved across
+// banks by their low block-number bits.
 //
 // Inclusion invariants maintained for coherent blocks:
 //
@@ -28,6 +28,7 @@ package coherence
 import (
 	"fmt"
 	"math/bits"
+	"strings"
 
 	"raccd/internal/cache"
 	"raccd/internal/classify"
@@ -58,17 +59,17 @@ const (
 )
 
 // ParseMode is the inverse of Mode.String: it resolves the names used in
-// figures, CSV rows and service requests ("FullCoh", "PT", "PT-RO",
-// "RaCCD") back to a Mode.
+// figures, CSV rows, service requests and CLI flags ("FullCoh", "PT",
+// "PT-RO" or "PTRO", "RaCCD"), in any case, back to a Mode.
 func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "FullCoh":
+	switch {
+	case strings.EqualFold(s, "FullCoh"):
 		return FullCoh, nil
-	case "PT":
+	case strings.EqualFold(s, "PT"):
 		return PT, nil
-	case "PT-RO", "PTRO":
+	case strings.EqualFold(s, "PT-RO"), strings.EqualFold(s, "PTRO"):
 		return PTRO, nil
-	case "RaCCD":
+	case strings.EqualFold(s, "RaCCD"):
 		return RaCCD, nil
 	}
 	return 0, fmt.Errorf("coherence: unknown system %q (want FullCoh, PT, PT-RO or RaCCD)", s)
@@ -121,7 +122,8 @@ type Params struct {
 	NoCTopology string
 }
 
-// DefaultParams returns the scaled machine of DESIGN.md §4.
+// DefaultParams returns the ÷16-scaled machine of docs/MACHINE.md's
+// scaling rule.
 func DefaultParams() Params {
 	return Params{
 		Cores:             16,

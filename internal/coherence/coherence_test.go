@@ -1,6 +1,8 @@
 package coherence
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -437,6 +439,31 @@ func TestNCRTOverflowFallsBackCoherent(t *testing.T) {
 func TestModeString(t *testing.T) {
 	if FullCoh.String() != "FullCoh" || PT.String() != "PT" || RaCCD.String() != "RaCCD" {
 		t.Fatal("Mode strings wrong")
+	}
+}
+
+// TestParseMode: every documented spelling parses in any case, and an
+// unknown name is rejected with the name quoted.
+func TestParseMode(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want Mode
+	}{
+		{"FullCoh", FullCoh}, {"fullcoh", FullCoh}, {"FULLCOH", FullCoh},
+		{"PT", PT}, {"pt", PT},
+		{"PT-RO", PTRO}, {"pt-ro", PTRO}, {"PTRO", PTRO}, {"ptro", PTRO},
+		{"RaCCD", RaCCD}, {"raccd", RaCCD}, {"RACCD", RaCCD},
+	} {
+		got, err := ParseMode(tc.name)
+		if err != nil || got != tc.want {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", tc.name, got, err, tc.want)
+		}
+	}
+	for _, name := range []string{"", "MESI", "full", "pt_ro", "RaCCD+ADR"} {
+		_, err := ParseMode(name)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", name)) {
+			t.Errorf("ParseMode(%q) error = %v; want one quoting the name", name, err)
+		}
 	}
 }
 

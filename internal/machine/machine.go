@@ -182,6 +182,23 @@ func (m Machine) withDefaults() Machine {
 	return m
 }
 
+// WithTiming returns m with each non-zero core-timing setting replacing
+// m's own: the core model, the prefetch degree and the prefetch
+// distance. A run request or sweep that names its machine by preset
+// states its core timing this way.
+func (m Machine) WithTiming(core string, prefetchDegree, prefetchDistance int) Machine {
+	if core != "" {
+		m.Core = core
+	}
+	if prefetchDegree != 0 {
+		m.PrefetchDegree = prefetchDegree
+	}
+	if prefetchDistance != 0 {
+		m.PrefetchDistance = prefetchDistance
+	}
+	return m
+}
+
 // IsZero reports whether m is the zero value (meaning Paper16).
 func (m Machine) IsZero() bool { return m == Machine{} }
 

@@ -52,7 +52,8 @@ type Matrix struct {
 	PrefetchDistance int
 	// OnSimulated, if non-nil, is called once per simulation actually
 	// executed (cache hits do not fire it) with the run's coherence
-	// scheme, wall-clock duration, and Result (for counter aggregation —
+	// scheme, the wall-clock duration of the simulation alone (not of
+	// building its workload), and its Result (for counter aggregation —
 	// e.g. prefetch totals). Calls may be concurrent when Jobs > 1; the
 	// hook must be safe for that. The leading string is always "": it is
 	// kept only so the benchmark module in bench/, which cannot change in
@@ -72,84 +73,96 @@ func DefaultMatrix() Matrix {
 	}
 }
 
-// runSpec identifies one simulation of a sweep.
-type runSpec struct {
-	name  string
-	sys   coherence.Mode
-	ratio int
-	adr   bool
-}
-
-func (s runSpec) tag() string {
-	if s.adr {
-		return "+ADR"
-	}
-	return ""
-}
-
-func (s runSpec) String() string {
-	return fmt.Sprintf("%s/%v%s 1:%d", s.name, s.sys, s.tag(), s.ratio)
-}
-
-// specs expands the matrix into its run list, in the order the results
-// are reported.
-func (m Matrix) specs() []runSpec {
-	var out []runSpec
+// Keys expands the matrix into its run list, in the order results are
+// reported — the cells RunContext simulates, and the enumeration a
+// distributed coordinator partitions across workers
+// (internal/service/fabric) without running anything.
+func (m Matrix) Keys() []Key {
+	var out []Key
 	for _, name := range m.Workloads {
 		for _, sys := range m.Systems {
 			for _, ratio := range m.Ratios {
-				out = append(out, runSpec{name, sys, ratio, false})
+				out = append(out, Key{name, sys, ratio, false})
 			}
 			if m.ADR && sys != coherence.FullCoh {
-				out = append(out, runSpec{name, sys, 1, true})
+				out = append(out, Key{name, sys, 1, true})
 			}
 		}
 	}
 	return out
-}
-
-// simulate runs one simulation of the sweep, or recalls it from m.Cache
-// when a store is attached: the run is keyed by (cfg.Fingerprint,
-// workloads.Identity) and computed at most once per key.
-func (m Matrix) simulate(cfg sim.Config, name string) (sim.Result, error) {
-	run := func() (sim.Result, error) {
-		w, err := workloads.Get(name, m.Scale)
-		if err != nil {
-			return sim.Result{}, err
-		}
-		start := time.Now()
-		res, err := sim.Run(w, cfg)
-		if err == nil && m.OnSimulated != nil {
-			m.OnSimulated("", cfg.System, time.Since(start), res)
-		}
-		return res, err
-	}
-	if m.Cache == nil {
-		return run()
-	}
-	id, err := workloads.Identity(name, m.Scale)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	res, _, err := m.Cache.GetOrCompute(resultstore.KeyOf(cfg.Fingerprint(), id), run)
-	return res, err
 }
 
 // NumRuns returns how many simulations the matrix expands to — what a
 // serving layer needs to size progress reporting and enforce request
 // limits without running anything.
-func (m Matrix) NumRuns() int { return len(m.specs()) }
+func (m Matrix) NumRuns() int { return len(m.Keys()) }
 
-// Keys expands the matrix into its run list, in the order results are
-// reported — the enumeration a distributed coordinator partitions
-// across workers (internal/service/fabric) without running anything.
-func (m Matrix) Keys() []Key {
-	specs := m.specs()
-	out := make([]Key, len(specs))
-	for i, s := range specs {
-		out[i] = Key{Workload: s.name, System: s.sys, Ratio: s.ratio, ADR: s.adr}
+// knobs describes cell k: the matrix's machine with the matrix's
+// core-timing overrides, at k's system, ratio and ADR setting.
+func (m Matrix) knobs(k Key) sim.Knobs {
+	return sim.Knobs{
+		System:   k.System,
+		Machine:  m.Machine.WithTiming(m.Core, m.PrefetchDegree, m.PrefetchDistance),
+		DirRatio: k.Ratio,
+		ADR:      k.ADR,
+		Validate: m.Validate,
 	}
-	return out
+}
+
+// simulate runs one cell through Simulate, keyed by (cfg.Fingerprint,
+// workloads.Identity) when m.Cache is attached, and reports a
+// simulation it executed to OnSimulated.
+func (m Matrix) simulate(ctx context.Context, k sim.Knobs, workload string) (sim.Result, error) {
+	cfg := k.Resolve()
+	var key resultstore.Key
+	if m.Cache != nil {
+		id, err := workloads.Identity(workload, m.Scale)
+		if err != nil {
+			return sim.Result{}, err
+		}
+		key = resultstore.KeyOf(cfg.Fingerprint(), id)
+	}
+	res, cached, _, elapsed, err := Simulate(ctx, m.Cache, key, workload, m.Scale, cfg)
+	if err == nil && !cached && m.OnSimulated != nil {
+		m.OnSimulated("", cfg.System, elapsed, res)
+	}
+	return res, err
+}
+
+// Simulate builds workload at scale and simulates it on cfg: the one
+// in-process run body, behind sweeps (Matrix) and the daemon's executor
+// alike. With a store, the run is recalled when key is cached and
+// computed at most once per key otherwise (concurrent identical calls
+// coalesce); key must then be resultstore.KeyOf of cfg's fingerprint and
+// the workload's identity. Without one, key is ignored. cached reports a
+// result this call did not compute. build and run are this call's wall
+// time building the workload and simulating it, zero for a step it did
+// not take. ctx aborts an in-flight simulation at its next task
+// dispatch.
+func Simulate(ctx context.Context, store *resultstore.Store, key resultstore.Key, workload string, scale float64, cfg sim.Config) (res sim.Result, cached bool, build, run time.Duration, err error) {
+	compute := func() (sim.Result, error) {
+		// Cancelled while queued: don't start a simulation nobody will
+		// wait for.
+		if err := ctx.Err(); err != nil {
+			return sim.Result{}, err
+		}
+		start := time.Now()
+		w, err := workloads.Get(workload, scale)
+		build = time.Since(start)
+		if err != nil {
+			return sim.Result{}, err
+		}
+		start = time.Now()
+		res, err := sim.RunContext(ctx, w, cfg)
+		run = time.Since(start)
+		return res, err
+	}
+	if store == nil {
+		res, err = compute()
+	} else {
+		res, cached, err = store.GetOrCompute(key, compute)
+	}
+	return res, cached, build, run, err
 }
 
 // Run executes the sweep and returns the indexed result set.
@@ -158,27 +171,24 @@ func (m Matrix) Run() (*Set, error) {
 }
 
 // RunContext is Run with cancellation: when ctx is cancelled the sweep
-// stops (in-flight simulations finish, queued ones are skipped) and
-// ctx's error is returned.
+// stops — queued runs are skipped, and in-flight simulations abort at
+// their next task dispatch — and ctx's error is returned.
 func (m Matrix) RunContext(ctx context.Context) (*Set, error) {
-	specs := m.specs()
+	keys := m.Keys()
 	set := NewSet(nil)
-	err := runner.Run(ctx, m.Jobs, len(specs),
-		func(_ context.Context, i int) (sim.Result, error) {
-			s := specs[i]
-			cfg := m.config(s.sys, s.ratio)
-			cfg.ADR = s.adr
-			res, err := m.simulate(cfg, s.name)
+	err := runner.Run(ctx, m.Jobs, len(keys),
+		func(ctx context.Context, i int) (sim.Result, error) {
+			k := keys[i]
+			res, err := m.simulate(ctx, m.knobs(k), k.Workload)
 			if err != nil {
-				return sim.Result{}, fmt.Errorf("report: run %v (scale %g): %w", s, m.Scale, err)
+				return sim.Result{}, fmt.Errorf("report: run %v (scale %g): %w", k, m.Scale, err)
 			}
 			return res, nil
 		},
 		func(i int, res sim.Result) {
 			set.Add(res)
 			if m.Progress != nil {
-				s := specs[i]
-				m.Progress(fmt.Sprintf("%-9s %-8v%s 1:%-3d cycles=%d", s.name, s.sys, s.tag(), s.ratio, res.Cycles))
+				m.Progress(keys[i].ProgressLine(res.Cycles, false))
 			}
 		})
 	if err != nil {
@@ -210,11 +220,11 @@ func (m Matrix) RunNCRTSweepContext(ctx context.Context) (map[uint64]map[string]
 	}
 	out := make(map[uint64]map[string]uint64, len(NCRTLatencies))
 	err := runner.Run(ctx, m.Jobs, len(specs),
-		func(_ context.Context, i int) (sim.Result, error) {
+		func(ctx context.Context, i int) (sim.Result, error) {
 			s := specs[i]
-			cfg := m.config(coherence.RaCCD, 1)
-			cfg.Params.NCRTLookupCycles = s.lat
-			res, err := m.simulate(cfg, s.name)
+			k := m.knobs(Key{Workload: s.name, System: coherence.RaCCD, Ratio: 1})
+			k.NCRTLatency = s.lat
+			res, err := m.simulate(ctx, k, s.name)
 			if err != nil {
 				return sim.Result{}, fmt.Errorf("report: run %s/RaCCD 1:1 ncrt=%d (scale %g): %w", s.name, s.lat, m.Scale, err)
 			}

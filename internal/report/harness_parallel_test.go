@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"raccd/internal/coherence"
 )
@@ -115,6 +116,48 @@ func TestRunContextCancelled(t *testing.T) {
 	}
 	if _, err := m.RunNCRTSweepContext(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("ncrt err = %v, want context.Canceled", err)
+	}
+}
+
+// TestRunContextCancelsInFlight: cancelling a sweep mid-run aborts its
+// in-flight simulations at their next task dispatch, so RunContext
+// returns context.Canceled long before the uncancelled sweep would have
+// finished — on one worker as on two. A one-run matrix takes the
+// single-worker path at Jobs 2 too. Each bound is relative to the
+// uncancelled sweep's own time, so a -race slowdown scales both sides.
+func TestRunContextCancelsInFlight(t *testing.T) {
+	timed := func(ctx context.Context, m Matrix) (time.Duration, error) {
+		start := time.Now()
+		_, err := m.RunContext(ctx)
+		return time.Since(start), err
+	}
+	for _, tc := range []struct {
+		name    string
+		systems []coherence.Mode
+		jobs    []int
+	}{
+		{"one run", []coherence.Mode{coherence.RaCCD}, []int{1, 2}},
+		{"two runs", []coherence.Mode{coherence.PT, coherence.RaCCD}, []int{2}},
+	} {
+		m := Matrix{Workloads: []string{"Cholesky"}, Systems: tc.systems, Ratios: []int{1}, Scale: 1.5, Validate: true, Jobs: tc.jobs[0]}
+		full, err := timed(context.Background(), m)
+		if err != nil {
+			t.Fatalf("%s: uncancelled: %v", tc.name, err)
+		}
+		for _, jobs := range tc.jobs {
+			m.Jobs = jobs
+			ctx, cancel := context.WithCancel(context.Background())
+			timer := time.AfterFunc(full/10, cancel)
+			took, err := timed(ctx, m)
+			timer.Stop()
+			cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("%s, %d jobs: cancelled at %v: err = %v, want context.Canceled", tc.name, jobs, full/10, err)
+			}
+			if took >= full/2 {
+				t.Errorf("%s, %d jobs: cancelled at %v, returned after %v; uncancelled it took %v", tc.name, jobs, full/10, took, full)
+			}
+		}
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"raccd/internal/coherence"
 	"raccd/internal/machine"
-	"raccd/internal/sim"
 )
 
 // MachineSet pairs one machine with the result set of running a matrix on
@@ -118,26 +117,4 @@ func Fig2AcrossMachines(sets []MachineSet) string {
 	}
 	b.WriteString("\n(paper reports the 16-core point: averages 0.269 PT, 0.786 RaCCD)\n")
 	return b.String()
-}
-
-// config materializes the matrix's machine and validation settings onto a
-// fresh per-run configuration — the single place a sweep builds a
-// sim.Config, so every entry point agrees on the geometry.
-func (m Matrix) config(sys coherence.Mode, ratio int) sim.Config {
-	cfg := sim.DefaultConfig(sys, ratio)
-	cfg.Params = m.Machine.Params()
-	cfg.Validate = m.Validate
-	cfg.Core = m.Machine.Core
-	cfg.PrefetchDegree = m.Machine.PrefetchDegree
-	cfg.PrefetchDistance = m.Machine.PrefetchDistance
-	if m.Core != "" {
-		cfg.Core = m.Core
-	}
-	if m.PrefetchDegree != 0 {
-		cfg.PrefetchDegree = m.PrefetchDegree
-	}
-	if m.PrefetchDistance != 0 {
-		cfg.PrefetchDistance = m.PrefetchDistance
-	}
-	return cfg
 }

@@ -71,7 +71,7 @@ func TestMatrixMachineSweep(t *testing.T) {
 	}
 	// The run's own hierarchy is released; rebuild it from the config
 	// the matrix built, and tie the run to that geometry through DirKB.
-	h := coherence.New(coherence.RaCCD, m.config(coherence.RaCCD, 1).Params)
+	h := coherence.New(coherence.RaCCD, m.knobs(Key{System: coherence.RaCCD, Ratio: 1}).Resolve().Params)
 	if want := energy.DirectorySizeKB(h.Dir().Capacity()); r.DirKB != want {
 		t.Fatalf("run charged a %g KB directory, want %g KB", r.DirKB, want)
 	}

@@ -1,10 +1,14 @@
-// Package report turns simulation results into the tables and figure series
-// of the paper's evaluation section (§V). Each FigN function reproduces one
-// published figure or table; cmd/sweep and the benchmark harness print them.
+// Package report runs the paper's evaluation section (§V) and turns its
+// results into tables and figure series. Matrix expands an evaluation
+// into its cells (Keys) and runs them; Simulate is the one in-process run
+// body, behind a sweep's cells and the daemon's runs alike. Each FigN
+// function reproduces one published figure or table; cmd/sweep and the
+// benchmark harness print them.
 package report
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -20,6 +24,32 @@ type Key struct {
 	ADR      bool
 }
 
+// KeyOf returns the key r is indexed under.
+func KeyOf(r sim.Result) Key { return Key{r.Workload, r.System, r.DirRatio, r.ADR} }
+
+// String names the run in errors: "Jacobi/RaCCD+ADR 1:1".
+func (k Key) String() string {
+	return fmt.Sprintf("%s/%v%s 1:%d", k.Workload, k.System, k.adrTag(), k.Ratio)
+}
+
+// ProgressLine is the progress line of run k once it finished after
+// cycles — the line a sweep prints and a daemon job streams — tagged
+// " (cached)" when the result was recalled rather than simulated.
+func (k Key) ProgressLine(cycles uint64, cached bool) string {
+	line := fmt.Sprintf("%-9s %-8v%s 1:%-3d cycles=%d", k.Workload, k.System, k.adrTag(), k.Ratio, cycles)
+	if cached {
+		line += " (cached)"
+	}
+	return line
+}
+
+func (k Key) adrTag() string {
+	if k.ADR {
+		return "+ADR"
+	}
+	return ""
+}
+
 // Set indexes sweep results for figure generation.
 type Set struct {
 	m         map[Key]sim.Result
@@ -29,33 +59,18 @@ type Set struct {
 // NewSet indexes results. Workload row order follows first appearance.
 func NewSet(rs []sim.Result) *Set {
 	s := &Set{m: make(map[Key]sim.Result, len(rs))}
-	seen := map[string]bool{}
 	for _, r := range rs {
-		s.m[Key{r.Workload, r.System, r.DirRatio, r.ADR}] = r
-		if !seen[r.Workload] {
-			seen[r.Workload] = true
-			s.workloads = append(s.workloads, r.Workload)
-		}
+		s.Add(r)
 	}
 	return s
 }
 
 // Add inserts one more result.
 func (s *Set) Add(r sim.Result) {
-	k := Key{r.Workload, r.System, r.DirRatio, r.ADR}
-	if _, ok := s.m[k]; !ok {
-		found := false
-		for _, w := range s.workloads {
-			if w == r.Workload {
-				found = true
-				break
-			}
-		}
-		if !found {
-			s.workloads = append(s.workloads, r.Workload)
-		}
+	if !slices.Contains(s.workloads, r.Workload) {
+		s.workloads = append(s.workloads, r.Workload)
 	}
-	s.m[k] = r
+	s.m[KeyOf(r)] = r
 }
 
 // Get looks up one run.
@@ -258,7 +273,6 @@ func (s *Set) Fig10() string {
 		"energy normalised to FullCoh 1:1")
 }
 
-// CSV renders every result as comma-separated rows for external plotting.
 // sortedKeys returns the Set's keys in CSV row order.
 func (s *Set) sortedKeys() []Key {
 	var keys []Key
@@ -281,6 +295,7 @@ func (s *Set) sortedKeys() []Key {
 	return keys
 }
 
+// CSV renders every result as comma-separated rows for external plotting.
 func (s *Set) CSV() string {
 	keys := s.sortedKeys()
 	var b strings.Builder

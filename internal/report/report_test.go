@@ -30,6 +30,26 @@ func smallSet() *Set {
 	return NewSet(rs)
 }
 
+// TestProgressLine pins the progress line format shared by sweeps, runs,
+// batches and served sweeps: the scheme column carries +ADR and a
+// recalled run is tagged.
+func TestProgressLine(t *testing.T) {
+	for _, tc := range []struct {
+		res    sim.Result
+		cached bool
+		want   string
+	}{
+		{sim.Result{Workload: "Jacobi", System: coherence.PT, DirRatio: 16, Cycles: 42}, false,
+			"Jacobi    PT       1:16  cycles=42"},
+		{sim.Result{Workload: "MD5", System: coherence.RaCCD, DirRatio: 1, ADR: true, Cycles: 7}, true,
+			"MD5       RaCCD   +ADR 1:1   cycles=7 (cached)"},
+	} {
+		if got := KeyOf(tc.res).ProgressLine(tc.res.Cycles, tc.cached); got != tc.want {
+			t.Errorf("ProgressLine = %q, want %q", got, tc.want)
+		}
+	}
+}
+
 func TestSetGetAndOrder(t *testing.T) {
 	s := smallSet()
 	if got := s.Workloads(); len(got) != 2 || got[0] != "A" || got[1] != "B" {

@@ -2,9 +2,12 @@
 // independent simulation jobs across CPUs while keeping the observable
 // output deterministic: jobs carry a submission index, and completed
 // results are committed strictly in that order regardless of which
-// worker finishes first. The evaluation harness (internal/report) runs
-// its sweep matrices on top of it; cmd/sweep and cmd/raccdsim expose
-// the worker count as a -jobs flag.
+// worker finishes first. It is the one fan-out path for runs: sweep
+// matrices (internal/report), the fabric coordinator's batches and
+// raccdsim's benchmark lists all run on it, and cmd/sweep and
+// cmd/raccdsim expose the worker count as a -jobs flag. One worker is
+// the same pool with one goroutine, so cancellation and error
+// reporting do not depend on the worker count.
 package runner
 
 import (
@@ -23,8 +26,8 @@ import (
 // further locking — the observable commit sequence of a parallel run is
 // identical to a sequential one.
 //
-// workers <= 0 selects runtime.GOMAXPROCS(0); workers == 1 runs the jobs
-// sequentially on the calling goroutine with identical semantics.
+// workers <= 0 selects runtime.GOMAXPROCS(0); workers is capped at n, and
+// workers == 1 runs the jobs one at a time in index order.
 //
 // On the first job failure the context passed to still-running jobs is
 // cancelled and queued jobs are skipped. Run returns the error of the
@@ -43,9 +46,6 @@ func Run[T any](ctx context.Context, workers, n int,
 	}
 	if workers > n {
 		workers = n
-	}
-	if workers == 1 {
-		return runSequential(ctx, n, work, commit)
 	}
 
 	ctx, cancel := context.WithCancel(ctx)
@@ -108,24 +108,6 @@ func Run[T any](ctx context.Context, workers, n int,
 	wg.Wait()
 
 	return firstError(errs, ctx)
-}
-
-// runSequential is the workers == 1 path: same commit and error
-// semantics, no goroutines.
-func runSequential[T any](ctx context.Context, n int,
-	work func(ctx context.Context, i int) (T, error),
-	commit func(i int, v T)) error {
-	for i := 0; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		v, err := work(ctx, i)
-		if err != nil {
-			return err
-		}
-		commit(i, v)
-	}
-	return nil
 }
 
 // firstError picks the error Run reports: the lowest-indexed failure

@@ -1,17 +1,18 @@
-// Package exec is the execution layer of the simulation service: it
-// materializes wire requests into checked sim.Configs and sweep
-// matrices, and runs one simulation at a time through the result store
-// for global dedupe, returning exactly the CSV internal/report
-// produces. Fan-out across runs belongs to the fabric coordinator
-// above it, which calls Run once per run through its in-process Local
-// backend. exec owns the daemon's execution counters (per-scheme
-// run-latency histograms, per-phase job times, prefetch totals) so the
-// stats and /metrics endpoints are a pure read.
+// Package exec is the execution layer of the simulation service. It
+// parses wire requests into the run description sweeps and the library
+// use (sim.Knobs, resolved into a checked sim.Config) and into sweep
+// matrices, and runs one simulation at a time through report.Simulate —
+// the same run body an in-process sweep uses — against the result store
+// for global dedupe, returning exactly the CSV internal/report produces.
+// Fan-out across runs belongs to the fabric coordinator above it, which
+// calls Run once per run through its in-process Local backend. exec
+// owns the daemon's execution counters (per-scheme run-latency
+// histograms, per-phase job times, prefetch totals) so the stats and
+// /metrics endpoints are a pure read.
 package exec
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"raccd/client"
@@ -21,7 +22,6 @@ import (
 	"raccd/internal/report"
 	"raccd/internal/resultstore"
 	"raccd/internal/sim"
-	"raccd/internal/workloads"
 )
 
 // Executor runs checked configurations through a result store. Create
@@ -47,10 +47,12 @@ func Scale(req client.RunRequest) float64 {
 	return req.Scale
 }
 
-// BuildConfig materializes a run request as a checked sim.Config. The
-// trailing parameters are ignored: they are kept only so the benchmark
-// module in bench/, which cannot change in step with this package, still
-// compiles; pass "", 0.
+// BuildConfig resolves a run request into a checked sim.Config: it
+// parses the request's system and machine names, and sim.Knobs.Resolve
+// applies every override the way it does for the library and sweeps.
+// The trailing parameters are ignored: they are kept only so the
+// benchmark module in bench/, which cannot change in step with this
+// package, still compiles; pass "", 0.
 func BuildConfig(r client.RunRequest, _ string, _ int) (sim.Config, error) {
 	mode, err := coherence.ParseMode(r.System)
 	if err != nil {
@@ -60,38 +62,22 @@ func BuildConfig(r client.RunRequest, _ string, _ int) (sim.Config, error) {
 	if err != nil {
 		return sim.Config{}, err
 	}
-	ratio := r.DirRatio
-	if ratio == 0 {
-		ratio = 1
+	k := sim.Knobs{
+		System:       mode,
+		Machine:      mach.WithTiming(r.Core, r.PrefetchDegree, r.PrefetchDistance),
+		DirRatio:     r.DirRatio,
+		ADR:          r.ADR,
+		Scheduler:    r.Scheduler,
+		NCRTLatency:  r.NCRTLatency,
+		NCRTEntries:  r.NCRTEntries,
+		WriteThrough: r.WriteThrough,
+		Contiguity:   r.Contiguity,
+		SMTWays:      r.SMTWays,
+		Validate:     r.Validate == nil || *r.Validate,
 	}
-	cfg := sim.DefaultConfig(mode, ratio)
-	cfg.Params = mach.Params()
-	cfg.ADR = r.ADR
-	cfg.Scheduler = r.Scheduler
-	cfg.SMTWays = r.SMTWays
-	if r.NCRTLatency != 0 {
-		cfg.Params.NCRTLookupCycles = r.NCRTLatency
-	}
-	if r.NCRTEntries != 0 {
-		cfg.Params.NCRTEntries = r.NCRTEntries
-	}
-	cfg.Params.WriteThrough = r.WriteThrough
-	if r.Contiguity != 0 {
-		cfg.Params.Contiguity = r.Contiguity
-	}
-	cfg.Validate = r.Validate == nil || *r.Validate
-	cfg.Core = mach.Core
-	cfg.PrefetchDegree = mach.PrefetchDegree
-	cfg.PrefetchDistance = mach.PrefetchDistance
-	if r.Core != "" {
-		cfg.Core = r.Core
-	}
-	if r.PrefetchDegree != 0 {
-		cfg.PrefetchDegree = r.PrefetchDegree
-	}
-	if r.PrefetchDistance != 0 {
-		cfg.PrefetchDistance = r.PrefetchDistance
-	}
+	// A parsed machine is a preset, so checking the resolved Config
+	// covers everything Knobs.Check would.
+	cfg := k.Resolve()
 	return cfg, cfg.Check()
 }
 
@@ -134,63 +120,34 @@ func BuildMatrix(r client.SweepRequest) (report.Matrix, error) {
 }
 
 // Run executes one simulation of workload at scale on the checked cfg
-// through the result store: the run is recalled when key is cached and
-// computed at most once per key otherwise (the store single-flights
-// concurrent identical calls). key must be resultstore.KeyOf of cfg's
-// fingerprint and the workload's identity. It returns the run's report
-// CSV (header + one row) and whether the result came from the cache.
-// ctx aborts an in-flight simulation at its next task dispatch.
+// through the result store (report.Simulate): the run is recalled when
+// key is cached and computed at most once per key otherwise. key must
+// be resultstore.KeyOf of cfg's fingerprint and the workload's
+// identity. It returns the run's report CSV (header + one row) and
+// whether the result came from the cache. ctx aborts an in-flight
+// simulation at its next task dispatch.
 func (e *Executor) Run(ctx context.Context, cfg sim.Config, key resultstore.Key, workload string, scale float64) (csv string, res sim.Result, cached bool, err error) {
-	ph := obs.PhasesFrom(ctx)
-	// total−buildWall−simWall is the store phase: get/put IO, hashing,
-	// and — for a coalesced caller — waiting on another goroutine's
-	// identical run.
 	start := time.Now()
-	var buildWall, simWall time.Duration
-	res, cached, err = e.st.GetOrCompute(key, func() (sim.Result, error) {
-		// Cancellation between queueing and compute: don't start a
-		// simulation nobody will wait for.
-		if err := ctx.Err(); err != nil {
-			return sim.Result{}, err
-		}
-		buildStart := time.Now()
-		w, err := workloads.Get(workload, scale)
-		buildWall = time.Since(buildStart)
-		ph.Add(obs.PhaseBuild, buildWall)
-		if err != nil {
-			return sim.Result{}, err
-		}
-		simStart := time.Now()
-		res, err := sim.RunContext(ctx, w, cfg)
-		simWall = time.Since(simStart)
-		if err == nil {
-			e.metrics.Observe(cfg.System, simWall, res)
-		}
-		return res, err
-	})
-	ph.Add(obs.PhaseExec, simWall)
-	ph.Add(obs.PhaseStore, time.Since(start)-buildWall-simWall)
+	res, cached, build, run, err := report.Simulate(ctx, e.st, key, workload, scale, cfg)
+	// What Simulate spent neither building nor simulating is the store
+	// phase: get/put IO, hashing, and — for a coalesced caller — waiting
+	// on another goroutine's identical run. Only a call that built the
+	// workload reports a build phase.
+	ph := obs.PhasesFrom(ctx)
+	if build > 0 {
+		ph.Add(obs.PhaseBuild, build)
+	}
+	ph.Add(obs.PhaseExec, run)
+	ph.Add(obs.PhaseStore, time.Since(start)-build-run)
 	if err != nil {
 		return "", sim.Result{}, false, err
+	}
+	if !cached {
+		e.metrics.Observe(cfg.System, run, res)
 	}
 	obs.Log(ctx).Debug("run complete",
 		"workload", workload, "system", cfg.System.String(), "ratio", cfg.DirRatio,
 		"cycles", res.Cycles, "cached", cached,
-		"sim_ms", simWall.Milliseconds())
+		"sim_ms", run.Milliseconds())
 	return report.NewSet([]sim.Result{res}).CSV(), res, cached, nil
-}
-
-// RunLine formats the progress line of one completed run — the same
-// line for runs, batches and sweeps, on a local daemon and forwarded
-// through the fabric. It renders the scheme the way report.Matrix
-// progress does (`RaCCD   +ADR 1:1`) and tags cache hits.
-func RunLine(res sim.Result, cached bool) string {
-	adr, tag := "", ""
-	if res.ADR {
-		adr = "+ADR"
-	}
-	if cached {
-		tag = " (cached)"
-	}
-	return fmt.Sprintf("%-9s %-8v%s 1:%-3d cycles=%d%s", res.Workload, res.System, adr, res.DirRatio, res.Cycles, tag)
 }

@@ -102,22 +102,3 @@ func TestBuildConfigMachine(t *testing.T) {
 		}
 	}
 }
-
-// TestRunLine pins the progress line format shared by runs, batches and
-// sweeps: the scheme column carries +ADR and a recalled run is tagged.
-func TestRunLine(t *testing.T) {
-	for _, tc := range []struct {
-		res    sim.Result
-		cached bool
-		want   string
-	}{
-		{sim.Result{Workload: "Jacobi", System: coherence.PT, DirRatio: 16, Cycles: 42}, false,
-			"Jacobi    PT       1:16  cycles=42"},
-		{sim.Result{Workload: "MD5", System: coherence.RaCCD, DirRatio: 1, ADR: true, Cycles: 7}, true,
-			"MD5       RaCCD   +ADR 1:1   cycles=7 (cached)"},
-	} {
-		if got := RunLine(tc.res, tc.cached); got != tc.want {
-			t.Errorf("RunLine = %q, want %q", got, tc.want)
-		}
-	}
-}

@@ -20,6 +20,7 @@ import (
 	"context"
 
 	"raccd/client"
+	"raccd/internal/report"
 	"raccd/internal/resultstore"
 	"raccd/internal/service/exec"
 	"raccd/internal/sim"
@@ -101,5 +102,5 @@ func (l *Local) Run(ctx context.Context, spec Spec) (string, []string, error) {
 	if err != nil {
 		return "", nil, err
 	}
-	return csv, []string{exec.RunLine(res, cached)}, nil
+	return csv, []string{report.KeyOf(res).ProgressLine(res.Cycles, cached)}, nil
 }

@@ -50,9 +50,9 @@ func PickName(key string, names []string) int {
 // is the wire-level machine selector (the -machine flag /
 // SweepRequest.Machine), passed through verbatim because it was already
 // parsed into m.Machine. The specs fingerprint identically to the cells
-// of an in-process report.Matrix sweep (sim.Config normalizes zero-value
-// fields), so a served sweep hits the same cache entries `sweep -cache`
-// fills.
+// of an in-process report.Matrix sweep (both resolve through
+// sim.Knobs), so a served sweep hits the same cache entries
+// `sweep -cache` fills.
 func SpecsFromMatrix(m report.Matrix, machineName string) ([]Spec, error) {
 	keys := m.Keys()
 	specs := make([]Spec, 0, len(keys))

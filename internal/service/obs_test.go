@@ -141,3 +141,30 @@ func TestJobPhasesSumToWallTime(t *testing.T) {
 			sum, wall, ratio, fin.Phases)
 	}
 }
+
+// TestCachedRunHasNoBuildPhase: a run recalled from the store built no
+// workload, so its job reports exec and store phases but no build
+// phase, while the run that simulated it reports all three.
+func TestCachedRunHasNoBuildPhase(t *testing.T) {
+	_, c := newTestServer(t, Options{})
+	ctx := context.Background()
+	req := client.RunRequest{Workload: "Jacobi", Scale: 0.05, System: "RaCCD"}
+	for i, wantBuild := range []bool{true, false} {
+		st, err := c.SubmitRun(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fin, err := c.Wait(ctx, st.ID, nil)
+		if err != nil || fin.State != "done" {
+			t.Fatalf("run %d: %v, %+v", i, err, fin)
+		}
+		for _, phase := range []string{obs.PhaseExec, obs.PhaseStore} {
+			if _, ok := fin.Phases[phase]; !ok {
+				t.Errorf("run %d: phase %q missing from %v", i, phase, fin.Phases)
+			}
+		}
+		if _, ok := fin.Phases[obs.PhaseBuild]; ok != wantBuild {
+			t.Errorf("run %d: build phase reported = %v, want %v (phases %v)", i, ok, wantBuild, fin.Phases)
+		}
+	}
+}

@@ -243,6 +243,10 @@ func TestSubmitValidation(t *testing.T) {
 			_, err := c.SubmitRun(ctx, client.RunRequest{Workload: "NoSuchBench", System: "PT"})
 			return err
 		}},
+		{"negative scale", func() error {
+			_, err := c.SubmitRun(ctx, client.RunRequest{Workload: "Jacobi", System: "PT", Scale: -1})
+			return err
+		}},
 		{"bad synth spec", func() error {
 			_, err := c.SubmitRun(ctx, client.RunRequest{Workload: "synth:nosuchpreset", System: "PT"})
 			return err

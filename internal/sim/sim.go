@@ -15,7 +15,6 @@ import (
 	"raccd/internal/mem"
 	"raccd/internal/noc"
 	"raccd/internal/rts"
-	"raccd/internal/tracefile"
 )
 
 // Workload is anything that can populate a task graph. The workloads package
@@ -414,21 +413,4 @@ func (s smtMachine) RegisterRegion(p int, r mem.Range) uint64 {
 
 func (s smtMachine) InvalidateNC(p int) uint64 {
 	return s.h.InvalidateNCT(p/s.ways, p%s.ways)
-}
-
-// RecordTrace captures w as a portable RTF trace: the task graph is built
-// and every task body is dry-run against a capturing machine, so the
-// returned trace replays under any Config exactly like w itself (it
-// satisfies Workload). The fingerprint is stored in the trace header.
-func RecordTrace(w Workload, fingerprint uint64) (*tracefile.Trace, error) {
-	return tracefile.Record(w, fingerprint)
-}
-
-// MustRun is Run that panics on error (benchmarks, examples).
-func MustRun(w Workload, cfg Config) Result {
-	r, err := Run(w, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return r
 }

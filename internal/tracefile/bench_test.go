@@ -77,7 +77,9 @@ func BenchmarkNativeBuild(b *testing.B) {
 	cfg := sim.DefaultConfig(coherence.RaCCD, 16)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sim.MustRun(w, cfg)
+		if _, err := sim.Run(w, cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -90,6 +92,8 @@ func BenchmarkTraceReplay(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sim.MustRun(tr, cfg)
+		if _, err := sim.Run(tr, cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -7,8 +7,8 @@
 // (Gauss), phase-migrating data (CG, Kmeans), shared read-only data (KNN),
 // and missing annotations (JPEG, the RaCCD worst case). Problem sizes are
 // Table II divided by 16, matching the ÷16-scaled LLC and directory of the
-// simulated machine (DESIGN.md §4), so every dataset:cache ratio of the
-// paper is preserved.
+// simulated machine (see the scaling rule in docs/MACHINE.md), so every
+// dataset:cache ratio of the paper is preserved.
 //
 // Kernels issue block-granular accesses; per-element arithmetic is folded
 // into the runtime's compute-per-access cost.
@@ -18,6 +18,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -91,6 +92,17 @@ func Chunks(r mem.Range, n int) []mem.Range {
 	return out
 }
 
+// checkScale rejects a scale no problem size can be derived from: Go
+// leaves the integer conversion in scaled implementation-defined for
+// negative and non-finite values. Scale 0 is valid and selects every
+// workload's minimum size.
+func checkScale(scale float64) error {
+	if scale < 0 || math.IsNaN(scale) || math.IsInf(scale, 0) {
+		return fmt.Errorf("workloads: scale %g must be finite and non-negative", scale)
+	}
+	return nil
+}
+
 // scaled multiplies a default size by the scale factor, clamping to min.
 func scaled(def uint64, scale float64, min uint64) uint64 {
 	v := uint64(float64(def) * scale)
@@ -148,6 +160,9 @@ const TracePrefix = "trace:"
 // This is the replay hook that lets synthetic suites and trace files join
 // evaluation matrices next to the bundled benchmarks.
 func Get(name string, scale float64) (Workload, error) {
+	if err := checkScale(scale); err != nil {
+		return Workload{}, err
+	}
 	if strings.HasPrefix(name, synth.Prefix) {
 		p, err := synth.Parse(name)
 		if err != nil {
@@ -192,6 +207,9 @@ func Get(name string, scale float64) (Workload, error) {
 //     header's params fingerprint alone is not enough: it hashes the
 //     recording parameters, not the captured access streams.)
 func Identity(name string, scale float64) (string, error) {
+	if err := checkScale(scale); err != nil {
+		return "", err
+	}
 	if strings.HasPrefix(name, synth.Prefix) {
 		p, err := synth.Parse(name)
 		if err != nil {

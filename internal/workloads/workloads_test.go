@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -242,6 +243,28 @@ func TestScaleChangesSize(t *testing.T) {
 	MustGet("MD5", 1.0).Build(big)
 	if big.NumTasks() <= small.NumTasks() {
 		t.Fatalf("scale had no effect: %d vs %d tasks", big.NumTasks(), small.NumTasks())
+	}
+}
+
+// TestBadScaleRejected: a negative or non-finite scale builds no graph
+// and has no identity, for a benchmark and a synth spec alike, while
+// scale 0 keeps meaning "every size at its minimum".
+func TestBadScaleRejected(t *testing.T) {
+	for _, name := range []string{"Jacobi", "synth:chain/seed=7"} {
+		for _, scale := range []float64{-1, math.NaN(), math.Inf(1)} {
+			if _, err := Get(name, scale); err == nil || !strings.Contains(err.Error(), "scale") {
+				t.Errorf("Get(%q, %g) error = %v; want a scale error", name, scale, err)
+			}
+			if id, err := Identity(name, scale); err == nil || !strings.Contains(err.Error(), "scale") {
+				t.Errorf("Identity(%q, %g) = %q, %v; want a scale error", name, scale, id, err)
+			}
+		}
+		if _, err := Get(name, 0); err != nil {
+			t.Errorf("Get(%q, 0): %v", name, err)
+		}
+		if _, err := Identity(name, 0); err != nil {
+			t.Errorf("Identity(%q, 0): %v", name, err)
+		}
 	}
 }
 

@@ -93,7 +93,8 @@ func WithNCRT(entries int, latencyCycles uint64) Option {
 // WithWriteThrough selects write-through private caches.
 func WithWriteThrough() Option { return func(c *Config) { c.WriteThrough = true } }
 
-// WithContiguity sets the physical page allocator contiguity in [0, 1].
+// WithContiguity sets the physical page allocator contiguity in [0, 1];
+// 0 selects the default of 1.
 func WithContiguity(f float64) Option { return func(c *Config) { c.Contiguity = f } }
 
 // WithoutValidation disables golden-memory and invariant checking (faster;

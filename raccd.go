@@ -100,41 +100,15 @@ type ResultSet = report.Set
 // Matrix describes a full evaluation sweep.
 type Matrix = report.Matrix
 
-// Config selects the system under test.
-type Config struct {
-	// System is FullCoh, PT or RaCCD.
-	System System
-	// Machine is the simulated chip geometry; the zero value is the
-	// paper's 16-core machine (Paper16). Select presets with Machine32,
-	// Machine64 or ScaledMachine, or compose a custom geometry — see
-	// docs/MACHINE.md.
-	Machine Machine
-	// DirRatio is the 1:N directory reduction; 1, 2, 4, 8, 16, 64 or 256.
-	DirRatio int
-	// ADR enables Adaptive Directory Reduction (PT or RaCCD only).
-	ADR bool
-	// Scheduler is "fifo" (default), "lifo" or "locality".
-	Scheduler string
-	// NCRTLatency overrides the NCRT lookup latency in cycles (default 1).
-	NCRTLatency uint64
-	// NCRTEntries overrides the NCRT capacity (default 32, Table I).
-	NCRTEntries int
-	// WriteThrough selects write-through private caches (default
-	// write-back).
-	WriteThrough bool
-	// Contiguity is the physical page allocator contiguity in [0,1]
-	// (default 1: the Linux behaviour the paper reports).
-	Contiguity float64
-	// SMTWays runs N hardware threads per core (§III-E extension): the
-	// runtime schedules onto 16×N logical processors, threads share their
-	// core's L1 and thread-tagged NCRT, and recovery flushes are
-	// per-thread. 0 or 1 disables SMT.
-	SMTWays int
-	// Validate checks protocol invariants and the final memory image
-	// against the task graph's golden writers (default on via
-	// DefaultConfig).
-	Validate bool
-}
+// Config selects the system under test: a System, a Machine and a
+// DirRatio, plus the overrides ADR, Scheduler, NCRTLatency, NCRTEntries,
+// WriteThrough, Contiguity, SMTWays and Validate. A zero NCRTLatency,
+// NCRTEntries or Contiguity keeps the machine's value, so an NCRTLatency
+// or Contiguity of 0 selects 1. Config is the one run description the
+// library, raccdsim, sweeps and the raccdd service all resolve through.
+// Check reports whether it is runnable; Fingerprint is its cache
+// identity.
+type Config = sim.Knobs
 
 // DefaultConfig returns a validated configuration for the given system and
 // directory ratio.
@@ -142,48 +116,9 @@ func DefaultConfig(system System, dirRatio int) Config {
 	return Config{System: system, DirRatio: dirRatio, Contiguity: 1.0, Validate: true}
 }
 
-// Check reports whether the configuration describes a runnable machine,
-// returning a descriptive error otherwise: unknown scheduler names,
-// directory ratios the geometry cannot realize, out-of-range SMT ways,
-// contiguity outside [0, 1], negative NCRT capacity, and ADR on FullCoh.
-// Run checks every configuration; call it directly to fail fast before a
-// long sweep. (The name Validate is taken by the golden-validation field.)
-func (c Config) Check() error {
-	if err := c.Machine.Check(); err != nil {
-		return err
-	}
-	return c.toSim().Check()
-}
-
-func (c Config) toSim() sim.Config {
-	cfg := sim.DefaultConfig(c.System, c.DirRatio)
-	cfg.Params = c.Machine.Params()
-	cfg.ADR = c.ADR
-	cfg.Scheduler = c.Scheduler
-	cfg.Validate = c.Validate
-	if c.NCRTLatency != 0 {
-		cfg.Params.NCRTLookupCycles = c.NCRTLatency
-	}
-	if c.NCRTEntries != 0 {
-		cfg.Params.NCRTEntries = c.NCRTEntries
-	}
-	cfg.Params.WriteThrough = c.WriteThrough
-	if c.Contiguity != 0 {
-		cfg.Params.Contiguity = c.Contiguity
-	}
-	cfg.SMTWays = c.SMTWays
-	cfg.Core = c.Machine.Core
-	cfg.PrefetchDegree = c.Machine.PrefetchDegree
-	cfg.PrefetchDistance = c.Machine.PrefetchDistance
-	return cfg
-}
-
-// Fingerprint returns the canonical identity of the machine this
-// configuration describes: two Configs fingerprint identically exactly
-// when they drive identical simulations. Paired with WorkloadIdentity it
-// forms the content address under which the raccdd service and
-// `sweep -cache` store results (see docs/SERVICE.md).
-func (c Config) Fingerprint() string { return c.toSim().Fingerprint() }
+// ParseSystem resolves a system name — FullCoh, PT, PT-RO (or PTRO) or
+// RaCCD, in any case — to its System.
+func ParseSystem(name string) (System, error) { return coherence.ParseMode(name) }
 
 // WorkloadIdentity returns the canonical identity of the task graph that
 // NewWorkload(name, scale) would build — the workload half of a result
@@ -208,7 +143,7 @@ func RunContext(ctx context.Context, w Workload, cfg Config) (Result, error) {
 	if err := cfg.Check(); err != nil {
 		return Result{}, err
 	}
-	return sim.RunContext(ctx, w, cfg.toSim())
+	return sim.RunContext(ctx, w, cfg.Resolve())
 }
 
 // Benchmarks returns every bundled workload name (the paper's nine plus
@@ -244,7 +179,7 @@ func NewTaskGraph() *TaskGraph { return rts.NewGraph() }
 // custom NewCustomWorkload programs (as long as their builders are
 // deterministic).
 func WriteTrace(w io.Writer, wl Workload) error {
-	tr, err := sim.RecordTrace(wl, tracefile.Fingerprint(wl.Name()))
+	tr, err := tracefile.Record(wl, tracefile.Fingerprint(wl.Name()))
 	if err != nil {
 		return err
 	}
