@@ -1,13 +1,15 @@
 // Command raccdreport compares two archived sweep result files (written by
-// `sweep -csv`), reporting metric changes beyond a tolerance — a regression
-// gate for changes to the simulator or the workloads.
+// `sweep -csv`), reporting metric changes beyond a tolerance and runs
+// present in only one file — a regression gate for changes to the
+// simulator or the workloads.
 //
 //	sweep -q -csv before.csv
 //	... hack hack hack ...
 //	sweep -q -csv after.csv
 //	raccdreport -old before.csv -new after.csv -tol 0.02
 //
-// Exit status 1 when differences beyond tolerance exist.
+// Exit status 1 when differences beyond tolerance, or runs in only one
+// file, exist.
 package main
 
 import (

@@ -77,6 +77,28 @@ func TestDifferenceWithinToleranceExitsZero(t *testing.T) {
 	}
 }
 
+// A run present in only one sweep is a difference, at any ratio: here
+// the old sweep's 1:1 run vanished and its 1:32 run got 10× slower.
+func TestRunOnOneSideOnlyExitsOne(t *testing.T) {
+	at32 := func(r string) string { return strings.Replace(r, ",RaCCD,1,", ",RaCCD,32,", 1) }
+	old := writeCSV(t, "old.csv", csvHeader+row("Jacobi", 1000)+at32(row("Jacobi", 1000)))
+	new_ := writeCSV(t, "new.csv", csvHeader+at32(row("Jacobi", 10000)))
+	code, stdout, _ := runReport(t, "-old", old, "-new", new_)
+	if code != 1 {
+		t.Fatalf("vanished run exited %d, want 1; stdout:\n%s", code, stdout)
+	}
+	for _, want := range []string{"run only in the old sweep", "1:32", "cycles"} {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("diff output missing %q:\n%s", want, stdout)
+		}
+	}
+	// The same runs the other way round: the 1:1 run is new.
+	code, stdout, _ = runReport(t, "-old", new_, "-new", old)
+	if code != 1 || !strings.Contains(stdout, "run only in the new sweep") {
+		t.Fatalf("added run exited %d with:\n%s", code, stdout)
+	}
+}
+
 func TestMissingFlagsExitTwo(t *testing.T) {
 	code, _, stderr := runReport(t)
 	if code != 2 {

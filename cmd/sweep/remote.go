@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"raccd"
 	"raccd/client"
 	"raccd/internal/obs" //raccd:layering-ok mints the fleet-wide trace ID workers must share; client deliberately redeclares rather than exports it
 	"raccd/internal/report"
@@ -32,6 +33,10 @@ func runRemote(ctx context.Context, m report.Matrix, machineName, endpoint strin
 	if err != nil {
 		return nil, err
 	}
+	rows, err := rowNames(m)
+	if err != nil {
+		return nil, err
+	}
 
 	// One trace ID covers the whole sweep: the daemon (and, behind a
 	// coordinator, every worker) stamps it on its jobs and logs, so one
@@ -55,11 +60,26 @@ func runRemote(ctx context.Context, m report.Matrix, machineName, endpoint strin
 	}
 	set := report.NewSet(nil)
 	for _, k := range m.Keys() {
-		res, ok := parsed.Get(k.Workload, k.System, k.Ratio, k.ADR)
+		res, ok := parsed.Get(rows[k.Workload], k.System, k.Ratio, k.ADR)
 		if !ok {
 			return nil, fmt.Errorf("%s: results missing %v", endpoint, k)
 		}
 		set.Add(res)
 	}
 	return set, nil
+}
+
+// rowNames maps each of m's workloads to the name its results carry —
+// the built workload's own name, so a "trace:<path>" workload's rows go
+// by the name in the trace header, as they do in a local sweep.
+func rowNames(m report.Matrix) (map[string]string, error) {
+	rows := make(map[string]string, len(m.Workloads))
+	for _, name := range m.Workloads {
+		w, err := raccd.NewWorkload(name, m.Scale)
+		if err != nil {
+			return nil, err
+		}
+		rows[name] = w.Name()
+	}
+	return rows, nil
 }

@@ -8,37 +8,34 @@ import (
 )
 
 func TestFirstTouchPrivate(t *testing.T) {
-	c := New()
-	nc, flip := c.Access(3, 10)
+	c := New(false)
+	nc, flip := c.Access(3, 10, false)
 	if !nc || flip != nil {
 		t.Fatalf("first touch: nc=%v flip=%v, want true,nil", nc, flip)
 	}
 	if !c.IsPrivate(10) || c.IsShared(10) {
 		t.Fatal("page should be private after first touch")
 	}
-	if c.Stats.FirstTouches != 1 {
-		t.Fatalf("FirstTouches = %d", c.Stats.FirstTouches)
-	}
 }
 
 func TestSameCoreStaysPrivate(t *testing.T) {
-	c := New()
-	c.Access(3, 10)
+	c := New(false)
+	c.Access(3, 10, false)
 	for i := 0; i < 5; i++ {
-		nc, flip := c.Access(3, 10)
+		nc, flip := c.Access(3, 10, false)
 		if !nc || flip != nil {
 			t.Fatal("repeat access by owner must stay private")
 		}
 	}
-	if c.Stats.Flips != 0 {
+	if !c.IsPrivate(10) {
 		t.Fatal("no flip expected")
 	}
 }
 
 func TestSecondCoreFlips(t *testing.T) {
-	c := New()
-	c.Access(3, 10)
-	nc, flip := c.Access(4, 10)
+	c := New(false)
+	c.Access(3, 10, false)
+	nc, flip := c.Access(4, 10, false)
 	if nc {
 		t.Fatal("second core access must be coherent")
 	}
@@ -48,19 +45,16 @@ func TestSecondCoreFlips(t *testing.T) {
 	if !c.IsShared(10) || c.IsPrivate(10) {
 		t.Fatal("page should be shared after flip")
 	}
-	if c.Stats.Flips != 1 {
-		t.Fatalf("Flips = %d", c.Stats.Flips)
-	}
 }
 
 func TestNeverBackToPrivate(t *testing.T) {
 	// The key PT inaccuracy: once shared, always shared, even if only one
 	// core keeps accessing it afterwards (temporarily private data).
-	c := New()
-	c.Access(0, 7)
-	c.Access(1, 7) // flip
+	c := New(false)
+	c.Access(0, 7, false)
+	c.Access(1, 7, false) // flip
 	for i := 0; i < 10; i++ {
-		nc, flip := c.Access(1, 7)
+		nc, flip := c.Access(1, 7, false)
 		if nc || flip != nil {
 			t.Fatal("shared page produced non-coherent access or a second flip")
 		}
@@ -68,30 +62,35 @@ func TestNeverBackToPrivate(t *testing.T) {
 }
 
 func TestIndependentPages(t *testing.T) {
-	c := New()
-	c.Access(0, 1)
-	c.Access(1, 2)
+	c := New(false)
+	c.Access(0, 1, false)
+	c.Access(1, 2, false)
 	if !c.IsPrivate(1) || !c.IsPrivate(2) {
 		t.Fatal("distinct pages touched by distinct cores must both be private")
 	}
-	if c.PrivatePages() != 2 || c.SharedPages() != 0 {
-		t.Fatalf("counts: %d private %d shared", c.PrivatePages(), c.SharedPages())
+	if c.IsShared(1) || c.IsShared(2) {
+		t.Fatal("no page touched by one core may be shared")
 	}
 }
 
 func TestFlipAccounting(t *testing.T) {
-	c := New()
+	c := New(false)
 	for p := mem.Page(0); p < 8; p++ {
-		c.Access(int(p%4), p)
+		c.Access(int(p%4), p, false)
+	}
+	flips := 0
+	for p := mem.Page(0); p < 8; p++ {
+		if _, flip := c.Access(int(p%4)+4, p, false); flip != nil {
+			flips++
+		}
+	}
+	if flips != 8 {
+		t.Fatalf("flips = %d, want 8", flips)
 	}
 	for p := mem.Page(0); p < 8; p++ {
-		c.Access(int(p%4)+4, p)
-	}
-	if c.Stats.Flips != 8 {
-		t.Fatalf("Flips = %d, want 8", c.Stats.Flips)
-	}
-	if c.PrivatePages() != 0 || c.SharedPages() != 8 {
-		t.Fatalf("counts after flips: %d private %d shared", c.PrivatePages(), c.SharedPages())
+		if c.IsPrivate(p) || !c.IsShared(p) {
+			t.Fatalf("page %d not shared after its flip", p)
+		}
 	}
 }
 
@@ -100,12 +99,12 @@ func TestFlipAccounting(t *testing.T) {
 // the set of cores that accessed it.
 func TestQuickClassifierConsistency(t *testing.T) {
 	f := func(ops []uint8) bool {
-		c := New()
+		c := New(false)
 		accessedBy := map[mem.Page]map[int]bool{}
 		for _, op := range ops {
 			core := int(op & 3)
 			page := mem.Page(op >> 2 & 7)
-			c.Access(core, page)
+			c.Access(core, page, false)
 			if accessedBy[page] == nil {
 				accessedBy[page] = map[int]bool{}
 			}

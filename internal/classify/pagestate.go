@@ -2,7 +2,7 @@ package classify
 
 import "raccd/internal/mem"
 
-// The classifiers are consulted on EVERY simulated memory reference in the
+// The classifier is consulted on EVERY simulated memory reference in the
 // PT and PT-RO systems, so page state lives in lazily-allocated chunks of
 // flat int32 slices indexed by virtual page — one shift, one mask and one
 // load per access instead of one to three map probes.
@@ -11,16 +11,14 @@ const (
 	psChunkSize = 1 << psChunkBits
 )
 
-// Page state encoding shared by both classifiers. Private pages store
-// owner+psPrivateBase (plus psWritableBit when the owner has written the
-// page, used only by ROClassifier), so the zero value means "never seen".
+// Page state encoding. Private pages store owner+psPrivateBase, so the
+// zero value means "never seen".
 const (
 	psUnseen   int32 = 0
 	psShared   int32 = -1
-	psSharedRO int32 = -2 // ROClassifier only
+	psSharedRO int32 = -2 // PT-RO only
 
 	psPrivateBase int32 = 1
-	psWritableBit int32 = 1 << 30
 )
 
 // pageStates is a sparse paged array of per-virtual-page classifier states,
@@ -44,13 +42,7 @@ func (s *pageStates) set(vp mem.Page, v int32) {
 }
 
 // privateOwner decodes a private state into its owning core.
-func privateOwner(st int32) int { return int(st&^psWritableBit) - int(psPrivateBase) }
+func privateOwner(st int32) int { return int(st - psPrivateBase) }
 
 // privateState encodes a private page owned by core.
-func privateState(core int, writable bool) int32 {
-	st := int32(core) + psPrivateBase
-	if writable {
-		st |= psWritableBit
-	}
-	return st
-}
+func privateState(core int) int32 { return int32(core) + psPrivateBase }

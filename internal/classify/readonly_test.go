@@ -8,7 +8,7 @@ import (
 )
 
 func TestROFirstTouchPrivate(t *testing.T) {
-	c := NewRO()
+	c := New(true)
 	nc, flip := c.Access(0, 5, true)
 	if !nc || flip != nil {
 		t.Fatal("first touch must be private and flip-free")
@@ -19,7 +19,7 @@ func TestROFirstTouchPrivate(t *testing.T) {
 }
 
 func TestROSecondReaderKeepsNonCoherent(t *testing.T) {
-	c := NewRO()
+	c := New(true)
 	c.Access(0, 5, false)
 	nc, flip := c.Access(1, 5, false)
 	if !nc {
@@ -39,26 +39,23 @@ func TestROSecondReaderKeepsNonCoherent(t *testing.T) {
 }
 
 func TestROWriteDemotesSharedRO(t *testing.T) {
-	c := NewRO()
+	c := New(true)
 	c.Access(0, 5, false)
 	c.Access(1, 5, false) // sharedRO
 	nc, flip := c.Access(2, 5, true)
 	if nc {
 		t.Fatal("write to sharedRO must be coherent")
 	}
-	if flip == nil || flip.PrevOwner != -1 {
+	if flip == nil || flip.PrevOwner != AllCores {
 		t.Fatalf("demotion must flush all cores: %+v", flip)
 	}
 	if !c.IsShared(5) || c.IsSharedRO(5) {
 		t.Fatal("page should be fully shared")
 	}
-	if c.Stats.WriteDemotion != 1 {
-		t.Fatalf("WriteDemotion = %d", c.Stats.WriteDemotion)
-	}
 }
 
 func TestROSecondCoreWriteGoesStraightToShared(t *testing.T) {
-	c := NewRO()
+	c := New(true)
 	c.Access(0, 5, true)
 	nc, flip := c.Access(1, 5, true)
 	if nc {
@@ -73,7 +70,7 @@ func TestROSecondCoreWriteGoesStraightToShared(t *testing.T) {
 }
 
 func TestROOwnerWritesKeepPrivate(t *testing.T) {
-	c := NewRO()
+	c := New(true)
 	c.Access(0, 5, false)
 	nc, flip := c.Access(0, 5, true)
 	if !nc || flip != nil {
@@ -85,7 +82,7 @@ func TestROOwnerWritesKeepPrivate(t *testing.T) {
 }
 
 func TestRONeverBack(t *testing.T) {
-	c := NewRO()
+	c := New(true)
 	c.Access(0, 5, false)
 	c.Access(1, 5, false)
 	c.Access(1, 5, true) // demote
@@ -100,7 +97,7 @@ func TestRONeverBack(t *testing.T) {
 // Property: exactly one state holds per page at any time, and the state
 // only moves forward (private → sharedRO → shared).
 func TestQuickROStateMachine(t *testing.T) {
-	rank := func(c *ROClassifier, p mem.Page) int {
+	rank := func(c *Classifier, p mem.Page) int {
 		switch {
 		case c.IsShared(p):
 			return 3
@@ -112,7 +109,7 @@ func TestQuickROStateMachine(t *testing.T) {
 		return 0
 	}
 	f := func(ops []uint8) bool {
-		c := NewRO()
+		c := New(true)
 		prev := map[mem.Page]int{}
 		for _, op := range ops {
 			core := int(op & 3)

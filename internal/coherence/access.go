@@ -41,18 +41,11 @@ func (h *Hierarchy) AccessT(c, tid int, va mem.Addr, write bool, val uint64) (la
 	// and PTRO write demotions must invalidate untracked read-only copies
 	// even when the writer would otherwise hit its own stale NC line.
 	nonCoh := false
-	switch h.Mode {
-	case PT:
-		nc, flip := h.classifier.Access(c, mem.PageOf(va))
+	if h.classifier != nil {
+		nc, flip := h.classifier.Access(c, mem.PageOf(va), write)
 		nonCoh = nc
 		if flip != nil {
-			latency += h.ptFlipFlush(c, flip)
-		}
-	case PTRO:
-		nc, flip := h.roClassifier.Access(c, mem.PageOf(va), write)
-		nonCoh = nc
-		if flip != nil {
-			latency += h.roFlipFlush(c, mem.PageOf(va), flip)
+			latency += h.flipFlush(c, flip)
 		}
 	}
 

@@ -232,12 +232,11 @@ type Hierarchy struct {
 	// flat arrays — the per-access hot path never touches a map.
 	store *mem.BlockStore
 
-	pageTable    *vm.PageTable
-	mmus         []*vm.MMU
-	ncrts        []*core.NCRT
-	classifier   *classify.Classifier
-	roClassifier *classify.ROClassifier
-	adr          *core.ADR
+	pageTable  *vm.PageTable
+	mmus       []*vm.MMU
+	ncrts      []*core.NCRT
+	classifier *classify.Classifier // PT and PT-RO only
+	adr        *core.ADR
 
 	// adrPeriod drives periodic occupancy-monitor evaluations from the
 	// access stream (the monitor also runs on directory events).
@@ -287,11 +286,8 @@ func New(mode Mode, p Params) *Hierarchy {
 			h.ncrts[i] = n
 		}
 	})
-	if mode == PT {
-		h.classifier = classify.New()
-	}
-	if mode == PTRO {
-		h.roClassifier = classify.NewRO()
+	if mode == PT || mode == PTRO {
+		h.classifier = classify.New(mode == PTRO)
 	}
 	return h
 }
@@ -333,9 +329,6 @@ func (h *Hierarchy) NCRT(c int) *core.NCRT {
 	}
 	return h.ncrts[c]
 }
-
-// Classifier returns the PT classifier (PT mode only, else nil).
-func (h *Hierarchy) Classifier() *classify.Classifier { return h.classifier }
 
 // L1 returns core's private cache (tests and recovery).
 func (h *Hierarchy) L1(c int) *cache.Cache { return h.l1[c] }

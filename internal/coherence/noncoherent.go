@@ -78,20 +78,7 @@ func (h *Hierarchy) InvalidateNCT(c, tid int) (latency uint64) {
 		return 0
 	}
 	h.Stats.RecoveryFlushes++
-	// Sequential traversal of the private cache: one cycle per line.
-	latency += uint64(h.l1[c].Capacity())
-	h.l1[c].Walk(func(ln *cache.Line) {
-		if !ln.NC || ln.Thread != uint8(tid) {
-			return
-		}
-		h.Stats.FlushedNC++
-		if ln.Dirty {
-			h.Stats.FlushedNCDirty++
-			h.writebackToLLC(c, ln.Block, ln.Val)
-			latency += h.Params.L1HitCycles
-		}
-		ln.State = cache.Invalid
-	})
+	latency = h.flushNC(c, tid)
 	h.ncrts[c].Clear(tid)
 	return latency
 }
@@ -105,20 +92,29 @@ func (h *Hierarchy) MigrateThread(tid, src, dst int) (latency uint64) {
 		return 0
 	}
 	ivs := h.ncrts[src].Take(tid)
-	latency += uint64(h.l1[src].Capacity())
-	h.l1[src].Walk(func(ln *cache.Line) {
+	latency = h.flushNC(src, tid)
+	h.ncrts[dst].Put(tid, ivs)
+	latency += h.mesh.Send(src, dst, noc.Ctrl)
+	return latency
+}
+
+// flushNC is the NC-line walk of raccd_invalidate, behind InvalidateNCT
+// and MigrateThread: it flushes thread tid's NC lines from core c's
+// private cache and returns its cost, one cycle per line walked (a
+// sequential traversal) plus an L1 access per dirty line written back.
+func (h *Hierarchy) flushNC(c, tid int) (latency uint64) {
+	latency = uint64(h.l1[c].Capacity())
+	h.l1[c].Walk(func(ln *cache.Line) {
 		if !ln.NC || ln.Thread != uint8(tid) {
 			return
 		}
 		h.Stats.FlushedNC++
 		if ln.Dirty {
 			h.Stats.FlushedNCDirty++
-			h.writebackToLLC(src, ln.Block, ln.Val)
+			h.writebackToLLC(c, ln.Block, ln.Val)
 			latency += h.Params.L1HitCycles
 		}
 		ln.State = cache.Invalid
 	})
-	h.ncrts[dst].Put(tid, ivs)
-	latency += h.mesh.Send(src, dst, noc.Ctrl)
 	return latency
 }

@@ -277,20 +277,35 @@ func (h *Hierarchy) handleLLCVictim(bank int, victim cache.Line) {
 	}
 }
 
-// --- PT flip flush ---
+// --- PT and PT-RO flip flush ---
 
-// ptFlipFlush flushes every block of the flipped page from the previous
-// owner's private cache (§II-B: the OS "triggers a flush of the cache blocks
-// and the TLB entries of the page in the first core").
-func (h *Hierarchy) ptFlipFlush(c int, flip *classify.Flip) (latency uint64) {
+// flipFlush flushes the page a classifier transition left untracked from
+// the private caches that may hold it: the previous owner's when the page
+// leaves private (§II-B: the OS "triggers a flush of the cache blocks and
+// the TLB entries of the page in the first core"), and every core's, in
+// parallel, when a write ends PT-RO's shared read-only state. The latency
+// is the slowest core's.
+func (h *Hierarchy) flipFlush(c int, flip *classify.Flip) (latency uint64) {
 	h.Stats.PTFlips++
-	prev := flip.PrevOwner
 	// The page's physical frame: translate without charging the TLB.
 	pp, ok := h.pageTable.Lookup(flip.Page)
 	if !ok {
 		return 0
 	}
-	h.mmus[prev].TLB.Invalidate(flip.Page)
+	if flip.PrevOwner != classify.AllCores {
+		return h.flushPage(c, flip.PrevOwner, flip.Page, pp)
+	}
+	for prev := range h.l1 {
+		latency = max(latency, h.flushPage(c, prev, flip.Page, pp))
+	}
+	return latency
+}
+
+// flushPage drops virtual page vp (frame pp) from core prev's TLB and
+// private cache at core c's request, writing dirty blocks back to the LLC,
+// and returns the round trip's latency.
+func (h *Hierarchy) flushPage(c, prev int, vp, pp mem.Page) (latency uint64) {
+	h.mmus[prev].TLB.Invalidate(vp)
 	latency += h.mesh.Send(c, prev, noc.Ctrl)
 	first := pp.FirstBlock()
 	for b := first; b < first+mem.BlocksPerPage; b++ {
@@ -304,46 +319,6 @@ func (h *Hierarchy) ptFlipFlush(c int, flip *classify.Flip) (latency uint64) {
 	}
 	latency += h.mesh.Send(prev, c, noc.Ctrl)
 	return latency
-}
-
-// roFlipFlush handles an ROClassifier transition: leaving private flushes
-// the previous owner's copies of the page; leaving sharedRO (a write to a
-// read-only page) flushes EVERY core, since shared read-only copies are
-// untracked by the directory.
-func (h *Hierarchy) roFlipFlush(c int, vp mem.Page, flip *classify.ROFlip) (latency uint64) {
-	h.Stats.PTFlips++
-	pp, ok := h.pageTable.Lookup(flip.Page)
-	if !ok {
-		return 0
-	}
-	flushCore := func(prev int) uint64 {
-		var lat uint64
-		h.mmus[prev].TLB.Invalidate(flip.Page)
-		lat += h.mesh.Send(c, prev, noc.Ctrl)
-		first := pp.FirstBlock()
-		for b := first; b < first+mem.BlocksPerPage; b++ {
-			if vln, ok := h.l1[prev].Invalidate(b); ok {
-				h.Stats.PTFlushedBlocks++
-				lat++
-				if vln.Dirty {
-					h.writebackToLLC(prev, b, vln.Val)
-				}
-			}
-		}
-		lat += h.mesh.Send(prev, c, noc.Ctrl)
-		return lat
-	}
-	if flip.PrevOwner >= 0 {
-		return flushCore(flip.PrevOwner)
-	}
-	// Write demotion: sweep every core in parallel; latency is the worst.
-	var worst uint64
-	for prev := range h.l1 {
-		if l := flushCore(prev); l > worst {
-			worst = l
-		}
-	}
-	return worst
 }
 
 // --- ADR hook ---

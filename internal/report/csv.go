@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -81,12 +82,16 @@ func ParseCSV(r io.Reader) (*Set, error) {
 	return set, nil
 }
 
-// DiffEntry is one metric change between two sweeps.
+// DiffEntry is one metric change between two sweeps, or a run that only
+// one of them holds.
 type DiffEntry struct {
 	Key    Key
 	Metric string
 	Old    float64
 	New    float64
+	// Only names the sweep, "old" or "new", that holds Key's run when the
+	// other lacks it; Metric, Old and New are then unset.
+	Only string
 }
 
 // Rel returns the relative change (new/old - 1); ±Inf when old is zero and
@@ -101,8 +106,9 @@ func (d DiffEntry) Rel() float64 {
 	return d.New/d.Old - 1
 }
 
-// Diff compares two sweeps and returns the metric changes exceeding the
-// relative tolerance, sorted by the iteration order of the old sweep.
+// Diff compares two sweeps over the union of their runs, in CSV row
+// order: a run missing from either side is a difference, and a run in
+// both reports each metric whose change exceeds the relative tolerance.
 func Diff(old, new *Set, tolerance float64) []DiffEntry {
 	var out []DiffEntry
 	metrics := []struct {
@@ -116,31 +122,28 @@ func Diff(old, new *Set, tolerance float64) []DiffEntry {
 		{"dir_energy", func(r sim.Result) float64 { return r.DirEnergy }},
 		{"nc_fraction", func(r sim.Result) float64 { return r.NCFraction }},
 	}
-	for _, w := range old.Workloads() {
-		for _, sys := range []coherence.Mode{coherence.FullCoh, coherence.PT, coherence.PTRO, coherence.RaCCD} {
-			for _, ratio := range Ratios {
-				for _, adr := range []bool{false, true} {
-					o, ok1 := old.Get(w, sys, ratio, adr)
-					n, ok2 := new.Get(w, sys, ratio, adr)
-					if !ok1 || !ok2 {
-						continue
-					}
-					for _, m := range metrics {
-						d := DiffEntry{
-							Key:    Key{w, sys, ratio, adr},
-							Metric: m.name,
-							Old:    m.get(o),
-							New:    m.get(n),
-						}
-						rel := d.Rel()
-						if rel < 0 {
-							rel = -rel
-						}
-						if rel > tolerance {
-							out = append(out, d)
-						}
-					}
-				}
+	keys := old.sortedKeys()
+	for _, k := range new.sortedKeys() {
+		if _, ok := old.m[k]; !ok {
+			keys = append(keys, k)
+		}
+	}
+	sortKeys(keys)
+	for _, k := range keys {
+		o, inOld := old.m[k]
+		n, inNew := new.m[k]
+		switch {
+		case !inNew:
+			out = append(out, DiffEntry{Key: k, Only: "old"})
+			continue
+		case !inOld:
+			out = append(out, DiffEntry{Key: k, Only: "new"})
+			continue
+		}
+		for _, m := range metrics {
+			d := DiffEntry{Key: k, Metric: m.name, Old: m.get(o), New: m.get(n)}
+			if math.Abs(d.Rel()) > tolerance {
+				out = append(out, d)
 			}
 		}
 	}
@@ -154,12 +157,12 @@ func FormatDiff(entries []DiffEntry) string {
 	}
 	var b strings.Builder
 	for _, d := range entries {
-		adr := ""
-		if d.Key.ADR {
-			adr = "+ADR"
+		fmt.Fprintf(&b, "%-10s %-8v%-4s 1:%-4d ", d.Key.Workload, d.Key.System, d.Key.adrTag(), d.Key.Ratio)
+		if d.Only != "" {
+			fmt.Fprintf(&b, "run only in the %s sweep\n", d.Only)
+			continue
 		}
-		fmt.Fprintf(&b, "%-10s %-8v%-4s 1:%-4d %-14s %14.3f -> %14.3f (%+.1f%%)\n",
-			d.Key.Workload, d.Key.System, adr, d.Key.Ratio, d.Metric, d.Old, d.New, d.Rel()*100)
+		fmt.Fprintf(&b, "%-14s %14.3f -> %14.3f (%+.1f%%)\n", d.Metric, d.Old, d.New, d.Rel()*100)
 	}
 	return b.String()
 }

@@ -76,6 +76,45 @@ func TestDiffDetectsChanges(t *testing.T) {
 	}
 }
 
+// Diff walks the union of both sweeps' runs, at any ratio, in CSV row
+// order: a run on one side only is a difference in itself, so a run that
+// vanished cannot hide behind one that changed.
+func TestDiffReportsRunsOnOneSideOnly(t *testing.T) {
+	oldSet := NewSet([]sim.Result{
+		fakeResult("Jacobi", coherence.RaCCD, 1, false, 1000),
+		fakeResult("Jacobi", coherence.RaCCD, 32, false, 1000),
+	})
+	newSet := NewSet([]sim.Result{
+		fakeResult("Jacobi", coherence.RaCCD, 32, false, 10000),
+		fakeResult("Jacobi", coherence.PT, 1, true, 1000),
+	})
+	var got []string
+	for _, d := range Diff(oldSet, newSet, 0.01) {
+		if d.Only != "" {
+			got = append(got, d.Key.String()+" only in "+d.Only)
+		} else if d.Metric == "cycles" {
+			got = append(got, d.Key.String()+" cycles")
+		}
+	}
+	want := []string{
+		"Jacobi/PT+ADR 1:1 only in new",
+		"Jacobi/RaCCD 1:1 only in old",
+		"Jacobi/RaCCD 1:32 cycles",
+	}
+	if strings.Join(got, "; ") != strings.Join(want, "; ") {
+		t.Fatalf("diff = %q, want %q", got, want)
+	}
+	out := FormatDiff(Diff(oldSet, newSet, 0.01))
+	for _, line := range []string{"1:1    run only in the old sweep", "1:1    run only in the new sweep"} {
+		if !strings.Contains(out, line) {
+			t.Errorf("diff output missing %q:\n%s", line, out)
+		}
+	}
+	if d := Diff(newSet, newSet, 0); len(d) != 0 {
+		t.Fatalf("identical sets reported differences: %+v", d)
+	}
+}
+
 func TestFormatDiff(t *testing.T) {
 	if !strings.Contains(FormatDiff(nil), "no differences") {
 		t.Fatal("empty diff format wrong")

@@ -279,6 +279,13 @@ func (s *Set) sortedKeys() []Key {
 	for k := range s.m {
 		keys = append(keys, k)
 	}
+	sortKeys(keys)
+	return keys
+}
+
+// sortKeys sorts keys into CSV row order: by workload, system, ratio,
+// then ADR off before on.
+func sortKeys(keys []Key) {
 	sort.Slice(keys, func(i, j int) bool {
 		a, b := keys[i], keys[j]
 		if a.Workload != b.Workload {
@@ -292,7 +299,6 @@ func (s *Set) sortedKeys() []Key {
 		}
 		return !a.ADR && b.ADR
 	})
-	return keys
 }
 
 // CSV renders every result as comma-separated rows for external plotting.

@@ -32,9 +32,12 @@ import (
 // On the first job failure the context passed to still-running jobs is
 // cancelled and queued jobs are skipped. Run returns the error of the
 // lowest-indexed genuinely-failed job (cancellation fallout from jobs
-// interrupted mid-flight does not mask it), or the parent context's
-// error if it was cancelled with no job failure. No commits are made for
-// indices at or beyond the first failed one.
+// interrupted mid-flight does not mask it). When the parent context is
+// cancelled and no job failed otherwise, Run returns the lowest-indexed
+// interrupted job's own error, which wraps the cancellation and can
+// name the job, or the parent context's error when no job was
+// interrupted. No commits are made for indices at or beyond the first
+// failed one.
 func Run[T any](ctx context.Context, workers, n int,
 	work func(ctx context.Context, i int) (T, error),
 	commit func(i int, v T)) error {

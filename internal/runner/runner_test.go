@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -127,6 +128,43 @@ func TestParentCancellation(t *testing.T) {
 	}
 	if c := committed.Load(); c >= 1000 {
 		t.Fatalf("committed %d jobs despite cancellation", c)
+	}
+}
+
+// A parent cancellation that interrupts a job reports that job's own
+// error, which wraps the cancellation, rather than the bare context
+// error: the job can name itself ("run Jacobi/RaCCD 1:1: context
+// canceled"). Jobs below the interrupted one return without consulting
+// the context, so index 2 is always the lowest interrupted job. With two
+// workers a job below it may still be queued at the cancellation and be
+// skipped, so only one worker pins both commits.
+func TestParentCancellationReturnsInterruptedJobError(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var committed []int
+		err := Run(ctx, workers, 8,
+			func(ctx context.Context, i int) (int, error) {
+				if i < 2 {
+					return i, nil
+				}
+				if i == 2 {
+					cancel()
+				}
+				<-ctx.Done()
+				return 0, fmt.Errorf("job %d: %w", i, ctx.Err())
+			},
+			func(i, _ int) { committed = append(committed, i) })
+		cancel()
+		if err == nil || err.Error() != "job 2: context canceled" {
+			t.Fatalf("workers=%d: err = %v, want job 2's own error", workers, err)
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: err = %v does not wrap context.Canceled", workers, err)
+		}
+		if want := []int{0, 1}; workers == 1 && !slices.Equal(committed, want) ||
+			len(committed) > len(want) || !slices.Equal(committed, want[:len(committed)]) {
+			t.Fatalf("workers=%d: committed %v, want jobs 0 and 1 (or a prefix with two workers)", workers, committed)
+		}
 	}
 }
 
