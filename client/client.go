@@ -261,6 +261,13 @@ type Stats struct {
 	PrefetchLate   uint64 `json:"prefetch_late,omitempty"`
 }
 
+// ErrExpired matches, through errors.Is, the 404 a daemon answers for a
+// job it has forgotten. A daemon keeps every unfinished job and only its
+// most recently finished ones; the results of an older job are still in
+// its result store, so resubmitting the same request returns them
+// without simulating.
+var ErrExpired = errors.New("raccdd: job expired")
+
 // APIError is a non-2xx response decoded from the service's error JSON.
 type APIError struct {
 	StatusCode int
@@ -269,7 +276,13 @@ type APIError struct {
 	// the X-Raccd-Trace response header), included in Error() so users
 	// can quote it when reporting a fleet failure.
 	TraceID string
+	// Expired is set on the 404 for a job the daemon has forgotten (the
+	// body's "expired": true); errors.Is(err, ErrExpired) reports it.
+	Expired bool
 }
+
+// Is reports an expired job's 404 as ErrExpired.
+func (e *APIError) Is(target error) bool { return target == ErrExpired && e.Expired }
 
 func (e *APIError) Error() string {
 	if e.TraceID != "" {
@@ -320,7 +333,8 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 
 func decodeError(resp *http.Response) error {
 	var e struct {
-		Error string `json:"error"`
+		Error   string `json:"error"`
+		Expired bool   `json:"expired"`
 	}
 	data, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
 	if json.Unmarshal(data, &e) != nil || e.Error == "" {
@@ -330,6 +344,7 @@ func decodeError(resp *http.Response) error {
 		StatusCode: resp.StatusCode,
 		Message:    e.Error,
 		TraceID:    resp.Header.Get(TraceHeader),
+		Expired:    e.Expired,
 	}
 }
 
@@ -377,14 +392,16 @@ func (c *Client) SubmitBatch(ctx context.Context, req BatchRequest) (Status, err
 	return st, err
 }
 
-// Job fetches the status of a job.
+// Job fetches the status of a job. A job the daemon has forgotten
+// answers an error that matches ErrExpired.
 func (c *Client) Job(ctx context.Context, id string) (Status, error) {
 	var st Status
 	err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil, &st)
 	return st, err
 }
 
-// Jobs lists every job the daemon knows, in submission order.
+// Jobs lists the jobs the daemon keeps, in submission order: every
+// unfinished job and its most recently finished ones.
 func (c *Client) Jobs(ctx context.Context) ([]Status, error) {
 	var out struct {
 		Jobs []Status `json:"jobs"`
@@ -394,7 +411,8 @@ func (c *Client) Jobs(ctx context.Context) ([]Status, error) {
 }
 
 // Result fetches a finished job's CSV — byte-identical to the CSV a local
-// `sweep -csv` of the same matrix would write.
+// `sweep -csv` of the same matrix would write. A job the daemon has
+// forgotten answers an error that matches ErrExpired.
 func (c *Client) Result(ctx context.Context, id string) (string, error) {
 	var out string
 	err := c.withRetry(ctx, func() error {
@@ -497,7 +515,8 @@ func (c *Client) Events(ctx context.Context, id string, after int, fn func(Event
 // status: the one the terminal done/error event carries, so a finished
 // job costs no further request. If the stream ends without one (it
 // dropped, or an older daemon sent none) or is unavailable, Wait falls
-// back to polling GET /v1/jobs/{id}.
+// back to polling GET /v1/jobs/{id}; a job the daemon has forgotten
+// meanwhile ends the poll with an error that matches ErrExpired.
 func (c *Client) Wait(ctx context.Context, id string, onEvent func(Event)) (Status, error) {
 	var final *Status
 	err := c.Events(ctx, id, -1, func(e Event) error {

@@ -2,6 +2,7 @@ package client
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -78,5 +79,36 @@ func TestWaitPollsAfterDroppedStream(t *testing.T) {
 	}
 	if st.State != "failed" || st.Error != "polled" || polls.Load() != 2 {
 		t.Fatalf("status = %+v after %d polls, want the polled failed status after 2", st, polls.Load())
+	}
+}
+
+// TestWaitPollReportsExpiry: when the stream drops and the daemon has
+// forgotten the job by the time Wait polls, Wait returns the 404 as an
+// error that matches ErrExpired; a plain 404 does not match it.
+func TestWaitPollReportsExpiry(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/jobs/j1/events", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/event-stream")
+		fmt.Fprint(w, queuedFrame)
+	})
+	mux.HandleFunc("GET /v1/jobs/j1", func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusNotFound)
+		fmt.Fprint(w, `{"error":"job \"j1\" expired: resubmit","expired":true}`)
+	})
+	mux.HandleFunc("GET /v1/jobs/j2", func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusNotFound)
+		fmt.Fprint(w, `{"error":"unknown job \"j2\""}`)
+	})
+	hs := httptest.NewServer(mux)
+	t.Cleanup(hs.Close)
+	c := New(hs.URL)
+
+	_, err := c.Wait(context.Background(), "j1", nil)
+	var apiErr *APIError
+	if !errors.Is(err, ErrExpired) || !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusNotFound || !apiErr.Expired {
+		t.Fatalf("Wait on an expired job: err = %#v, want a 404 matching ErrExpired", err)
+	}
+	if _, err := c.Job(context.Background(), "j2"); err == nil || errors.Is(err, ErrExpired) {
+		t.Fatalf("unknown job: err = %v, want a 404 that does not match ErrExpired", err)
 	}
 }

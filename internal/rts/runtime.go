@@ -343,22 +343,25 @@ func (r *Runtime) Run(g *Graph) (makespan uint64) {
 		}
 		t := r.Sched.Pop(c, clocks[c])
 		if t == nil {
-			// Nothing ready at this core's time: advance to the next
-			// ready event. All other cores' clocks are >= clocks[c],
-			// and completions only happen at dispatch, so the earliest
-			// ready time is the correct next event.
+			// Nothing is ready at this core's time. Completions only
+			// happen at dispatch, so the earliest ready time is the next
+			// event, and nothing is ready before it for any core either
+			// (Pop returns nil exactly when no task is ready by its
+			// time): every core behind it idles up to it, in one pass.
 			minReady, ok := r.Sched.MinReadyTime()
 			if !ok {
 				panic(fmt.Sprintf("rts: deadlock with %d tasks remaining", remaining))
 			}
 			if minReady <= clocks[c] {
-				// Policy refused every ready task (cannot happen with
-				// the provided policies); take any to guarantee
-				// progress.
-				minReady = clocks[c] + 1
+				panic(fmt.Sprintf("rts: scheduler %s returned no task at cycle %d with one ready at %d",
+					r.Sched.Name(), clocks[c], minReady))
 			}
-			r.Stats.IdleCycles += minReady - clocks[c]
-			clocks[c] = minReady
+			for i, cl := range clocks {
+				if cl < minReady {
+					r.Stats.IdleCycles += minReady - cl
+					clocks[i] = minReady
+				}
+			}
 			continue
 		}
 		clocks[c] = r.execute(c, t, clocks[c])

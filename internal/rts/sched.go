@@ -10,7 +10,9 @@ type Scheduler interface {
 	// Push inserts a task that became ready at the given time.
 	Push(t *Task)
 	// Pop removes and returns the best ready task for the given core whose
-	// ReadyTime does not exceed now. It returns nil when none qualifies.
+	// ReadyTime does not exceed now. It returns nil exactly when no
+	// queued task's ReadyTime is at or before now: Runtime.Run relies on
+	// that to advance every idle core to the next ready time at once.
 	Pop(core int, now uint64) *Task
 	// MinReadyTime returns the earliest ReadyTime among queued tasks.
 	// ok is false when the queue is empty.

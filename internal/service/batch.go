@@ -34,14 +34,10 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("batch has %d runs, above the server's limit of %d", len(req.Runs), s.opts.MaxSweepRuns))
 		return
 	}
-	specs := make([]fabric.Spec, len(req.Runs))
-	for i, run := range req.Runs {
-		spec, err := fabric.NewSpec(run)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("run %d: %w", i, err))
-			return
-		}
-		specs[i] = spec
+	specs, err := fabric.NewSpecs(req.Runs)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return
 	}
 	j := queue.NewJob(s.q.NewID(), "batch", obs.Trace(r.Context()), len(specs))
 	s.enqueueAndRespond(w, j, s.runSpecs(specs))

@@ -18,6 +18,7 @@ package fabric
 
 import (
 	"context"
+	"fmt"
 
 	"raccd/client"
 	"raccd/internal/report"
@@ -53,13 +54,51 @@ func (s Spec) Key() string { return s.Fingerprint + " | " + s.Identity }
 // NewSpec validates and materializes a wire request into a Spec. The
 // error is the same the daemon's submit validation would return.
 func NewSpec(req client.RunRequest) (Spec, error) {
+	return identities(nil).spec(req)
+}
+
+// NewSpecs is NewSpec over the runs of one request; the error names the
+// first invalid run by its index. It resolves each distinct (workload,
+// scale) identity once: a trace: identity reads and hashes the whole
+// file, so runs that share a trace hash it once between them.
+func NewSpecs(reqs []client.RunRequest) ([]Spec, error) {
+	ids := identities{}
+	specs := make([]Spec, len(reqs))
+	for i, req := range reqs {
+		spec, err := ids.spec(req)
+		if err != nil {
+			return nil, fmt.Errorf("run %d: %w", i, err)
+		}
+		specs[i] = spec
+	}
+	return specs, nil
+}
+
+// identities memoizes workloads.Identity by workload and resolved scale
+// across the runs of one request; a nil map resolves every run afresh.
+type identities map[identityKey]string
+
+type identityKey struct {
+	workload string
+	scale    float64
+}
+
+// spec is NewSpec with the workload identity taken from, or added to,
+// ids.
+func (ids identities) spec(req client.RunRequest) (Spec, error) {
 	cfg, err := exec.BuildConfig(req, "", 0)
 	if err != nil {
 		return Spec{}, err
 	}
-	id, err := workloads.Identity(req.Workload, exec.Scale(req))
-	if err != nil {
-		return Spec{}, err
+	k := identityKey{req.Workload, exec.Scale(req)}
+	id, ok := ids[k]
+	if !ok {
+		if id, err = workloads.Identity(k.workload, k.scale); err != nil {
+			return Spec{}, err
+		}
+		if ids != nil {
+			ids[k] = id
+		}
 	}
 	return Spec{Request: req, Config: cfg, Fingerprint: cfg.Fingerprint(), Identity: id}, nil
 }

@@ -45,17 +45,19 @@ func PickName(key string, names []string) int {
 // SpecsFromMatrix expands a sweep matrix into the fabric's run list:
 // one spec per matrix cell, in matrix order, carrying the resolved
 // scale, machine and core timing so every backend executes exactly what
-// the caller asked for. NewSpec checks each cell, so the first invalid
-// one (unknown workload, unrealizable ratio) is the error. machineName
-// is the wire-level machine selector (the -machine flag /
-// SweepRequest.Machine), passed through verbatim because it was already
-// parsed into m.Machine. The specs fingerprint identically to the cells
+// the caller asked for. Each cell is checked as NewSpec checks it, so
+// the first invalid one (unknown workload, unrealizable ratio) is the
+// error, and each workload's identity is resolved once for all its
+// cells. machineName is the wire-level machine selector (the -machine
+// flag / SweepRequest.Machine), passed through verbatim because it was
+// already parsed into m.Machine. The specs fingerprint identically to the cells
 // of an in-process report.Matrix sweep (both resolve through
 // sim.Knobs), so a served sweep hits the same cache entries
 // `sweep -cache` fills.
 func SpecsFromMatrix(m report.Matrix, machineName string) ([]Spec, error) {
 	keys := m.Keys()
 	specs := make([]Spec, 0, len(keys))
+	ids := identities{}
 	for _, k := range keys {
 		rr := client.RunRequest{
 			Workload:         k.Workload,
@@ -69,7 +71,7 @@ func SpecsFromMatrix(m report.Matrix, machineName string) ([]Spec, error) {
 			PrefetchDegree:   m.PrefetchDegree,
 			PrefetchDistance: m.PrefetchDistance,
 		}
-		spec, err := NewSpec(rr)
+		spec, err := ids.spec(rr)
 		if err != nil {
 			return nil, err
 		}

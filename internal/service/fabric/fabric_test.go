@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -12,7 +15,10 @@ import (
 	"raccd/client"
 	"raccd/internal/coherence"
 	"raccd/internal/report"
+	"raccd/internal/service/exec"
 	"raccd/internal/sim"
+	"raccd/internal/tracefile"
+	"raccd/internal/workloads"
 )
 
 func TestPickNameDeterministicAndStable(t *testing.T) {
@@ -337,5 +343,68 @@ func TestInFlightBoundSharedByRunsAndBatches(t *testing.T) {
 	wg.Wait()
 	if g.max != bound {
 		t.Fatalf("%d runs in flight at once on one backend, want the bound %d", g.max, bound)
+	}
+}
+
+// TestSpecsFromMatrixReadsTraceOnce: every cell of a sweep over a trace
+// shares one workload identity, resolved once, so expanding the default
+// matrix's 23 cells reads and hashes the file once instead of once per
+// cell. The bytes allocated stay under twice the file size (the file is
+// read whole once).
+func TestSpecsFromMatrixReadsTraceOnce(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jacobi.rtf")
+	tr, err := tracefile.Record(workloads.MustGet("Jacobi", 4), tracefile.Fingerprint("Jacobi@4"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tracefile.WriteFile(path, tr); err != nil {
+		t.Fatal(err)
+	}
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := exec.BuildMatrix(client.SweepRequest{Workloads: []string{"trace:" + path}, ADR: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.NumRuns() != 23 {
+		t.Fatalf("default matrix over one trace has %d cells, want 23", m.NumRuns())
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	specs, err := SpecsFromMatrix(m, "")
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("SpecsFromMatrix allocated %d B for 23 cells of a %d B trace", alloc, info.Size())
+	if alloc > 2*uint64(info.Size()) {
+		t.Fatalf("SpecsFromMatrix allocated %d B for 23 cells of a %d B trace, want under 2× the file", alloc, info.Size())
+	}
+	for _, s := range specs {
+		if s.Identity != specs[0].Identity || !strings.HasPrefix(s.Identity, "trace:Jacobi/sha=") {
+			t.Fatalf("cell identity %q, want every cell on the trace's identity %q", s.Identity, specs[0].Identity)
+		}
+	}
+	// A batch that names the trace in every run resolves it once too,
+	// and reports a bad run by its index.
+	reqs := make([]client.RunRequest, len(specs))
+	for i, s := range specs {
+		reqs[i] = s.Request
+	}
+	batch, err := NewSpecs(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range batch {
+		if batch[i].Key() != specs[i].Key() {
+			t.Fatalf("batch run %d keyed %q, sweep cell %q", i, batch[i].Key(), specs[i].Key())
+		}
+	}
+	reqs[5].System = "MESI"
+	if _, err := NewSpecs(reqs); err == nil || !strings.HasPrefix(err.Error(), "run 5: ") {
+		t.Fatalf("bad run 5: err = %v, want it named by index", err)
 	}
 }

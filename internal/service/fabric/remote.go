@@ -3,6 +3,7 @@ package fabric
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"raccd/client"
@@ -88,12 +89,29 @@ func (r *Remote) Run(ctx context.Context, spec Spec) (string, []string, error) {
 
 // roundTrip drives one worker job: submit it, follow its event stream
 // handing each progress line to progress (nil drops them), and fetch
-// its result CSV once it is done.
+// its result CSV once it is done. A worker keeps only its most recently
+// finished jobs, so a job can expire before its result is fetched; then
+// roundTrip submits it once more (the worker's result store answers the
+// second job without simulating) and hands on only the progress lines
+// the first job did not.
 func (r *Remote) roundTrip(ctx context.Context, submit func(context.Context) (client.Status, error), progress func(line string)) (string, error) {
+	forwarded := 0
+	csv, err := r.try(ctx, submit, progress, &forwarded)
+	if errors.Is(err, client.ErrExpired) {
+		csv, err = r.try(ctx, submit, progress, &forwarded)
+	}
+	return csv, err
+}
+
+// try is one attempt of roundTrip. forwarded counts the progress lines
+// handed on so far across attempts; an attempt hands on the lines past
+// that count.
+func (r *Remote) try(ctx context.Context, submit func(context.Context) (client.Status, error), progress func(line string), forwarded *int) (string, error) {
 	st, err := submit(ctx)
 	if err != nil {
 		return "", fmt.Errorf("worker %s: %w", r.name, err)
 	}
+	seen := 0
 	fin, err := r.c.Wait(ctx, st.ID, func(e client.Event) {
 		if e.Type != "progress" || progress == nil {
 			return
@@ -101,7 +119,11 @@ func (r *Remote) roundTrip(ctx context.Context, submit func(context.Context) (cl
 		var p struct {
 			Line string `json:"line"`
 		}
-		if json.Unmarshal(e.Data, &p) == nil && p.Line != "" {
+		if json.Unmarshal(e.Data, &p) != nil || p.Line == "" {
+			return
+		}
+		if seen++; seen > *forwarded {
+			*forwarded = seen
 			progress(p.Line)
 		}
 	})

@@ -9,11 +9,8 @@ import (
 	"time"
 
 	"raccd/internal/service/exec"
+	"raccd/internal/service/queue"
 )
-
-// jobStates is every job state, so /metrics always exposes all five
-// raccd_jobs series (a dashboard can rate() them without gaps).
-var jobStates = []State{StateQueued, StateRunning, StateDone, StateFailed, StateCanceled}
 
 // handleMetrics serves GET /metrics in the Prometheus text exposition
 // format (hand-rolled — the repo takes no dependencies): queue depth,
@@ -25,7 +22,7 @@ var jobStates = []State{StateQueued, StateRunning, StateDone, StateFailed, State
 // execution metrics and exposes its own queue and job series here.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	st := s.opts.Store.Stats()
-	byState, runsDone := s.jobCounts()
+	byState, runsDone := s.q.Counts()
 
 	var b strings.Builder
 	head := func(name, typ, help string) {
@@ -38,12 +35,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	head("raccd_queue_depth", "gauge", "Jobs accepted and not yet finished; -queue bounds it.")
 	fmt.Fprintf(&b, "raccd_queue_depth %d\n", s.q.Depth())
 
-	head("raccd_jobs", "gauge", "Jobs known to the daemon, by lifecycle state.")
-	for _, state := range jobStates {
+	head("raccd_jobs", "gauge", "Jobs accepted since the daemon started, by lifecycle state; finished jobs the daemon no longer lists still count.")
+	// Every state is exposed, zero or not, so a dashboard can rate()
+	// each series without gaps.
+	for _, state := range queue.States {
 		fmt.Fprintf(&b, "raccd_jobs{state=%q} %d\n", state, byState[string(state)])
 	}
 
-	head("raccd_runs_completed_total", "counter", "Simulation runs completed across all jobs (cached or executed).")
+	head("raccd_runs_completed_total", "counter", "Simulation runs completed across all jobs accepted since the daemon started (cached or executed).")
 	fmt.Fprintf(&b, "raccd_runs_completed_total %d\n", runsDone)
 
 	head("raccd_store_hits_total", "counter", "Result-store lookups served from disk.")

@@ -27,6 +27,9 @@ const (
 	StateCanceled State = "canceled"
 )
 
+// States lists every job state in lifecycle order.
+var States = []State{StateQueued, StateRunning, StateDone, StateFailed, StateCanceled}
+
 // Terminal reports whether a state is final.
 func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCanceled
@@ -70,6 +73,8 @@ type Job struct {
 	id    string
 	kind  string
 	trace string
+	// seq is the job's place in its queue's submission order.
+	seq int
 	// phases accumulates the job's wall-time breakdown; the exec and
 	// fabric layers reach it through the job context.
 	phases obs.Phases
@@ -85,6 +90,9 @@ type Job struct {
 	finished  time.Time
 	events    []Event
 	notify    chan struct{}
+	// tally is the counter set of the queue that accepted the job (nil
+	// before Submit); the job moves itself in it at every transition.
+	tally *tally
 }
 
 // NewJob creates a queued job with its first status event logged.
@@ -150,6 +158,9 @@ func (j *Job) appendLocked(typ string, data map[string]any) {
 func (j *Job) SetState(s State, errMsg string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if j.tally != nil {
+		j.tally.move(j.state, s)
+	}
 	j.state = s
 	now := time.Now()
 	switch s {
@@ -196,6 +207,9 @@ func (j *Job) Finish(csv string, err error) {
 func (j *Job) Progress(line string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if j.tally != nil {
+		j.tally.ran()
+	}
 	j.runsDone++
 	j.appendLocked("progress", map[string]any{"index": j.runsDone - 1, "line": line})
 }

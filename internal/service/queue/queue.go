@@ -1,14 +1,18 @@
 // Package queue is the job layer of the simulation service: bounded job
-// admission, a registry for status lookup, and a per-job append-only
-// event log that makes SSE progress streams lossless (see Job). It
-// knows nothing about HTTP or simulations — the service's transport
-// layer admits jobs and runs each one's body on its own goroutine, and
-// the executor layer does the simulating.
+// admission, a registry for status lookup that keeps every unfinished
+// job and a window of the most recently finished ones, and a per-job
+// append-only event log that makes SSE progress streams lossless (see
+// Job). It knows nothing about HTTP or simulations — the service's
+// transport layer admits jobs and runs each one's body on its own
+// goroutine, and the executor layer does the simulating.
 package queue
 
 import (
 	"errors"
 	"fmt"
+	"sort"
+	"strconv"
+	"strings"
 	"sync"
 )
 
@@ -17,29 +21,80 @@ var (
 	ErrFull = errors.New("job queue full")
 	// ErrClosed rejects submissions after Close.
 	ErrClosed = errors.New("service shutting down")
+	// ErrExpired is wrapped by Get's error for a job the queue accepted
+	// and has since forgotten: it finished, and RetainedPerSlot × depth
+	// newer jobs finished after it.
+	ErrExpired = errors.New("expired")
 )
 
-// Queue bounds the jobs accepted and not yet finished, and registers
-// every job ever accepted (running and finished jobs stay queryable).
-// Safe for concurrent use.
+// RetainedPerSlot sizes the window of finished jobs: a queue of depth d
+// keeps every unfinished job plus the RetainedPerSlot × d jobs that
+// finished most recently (1,024 at raccdd's default depth of 64). On
+// the serve-warm benchmark (2 CPUs, 15 s windows) the daemon's peak RSS
+// read ~28 MiB at 4 ×, ~32 MiB at 16 × and ~45 MiB at 64 ×: 16 × keeps a
+// finished job queryable four times as long as 4 × for ~3.5 MiB.
+const RetainedPerSlot = 16
+
+// Queue bounds the jobs accepted and not yet finished, and keeps them
+// queryable together with the most recently finished ones; an older
+// finished job is forgotten, and Get reports it expired. Counts covers
+// every job ever accepted, forgotten ones included. Safe for concurrent
+// use.
 type Queue struct {
-	mu         sync.Mutex
-	jobs       map[string]*Job
-	order      []string
+	mu sync.Mutex
+	// jobs holds every unfinished job and every retained finished one.
+	jobs map[string]*Job
+	// finished is the window of retained finished jobs, a ring in finish
+	// order once full; oldest is the slot of the next one to forget.
+	finished   []*Job
+	oldest     int
+	keep       int
 	nextID     int
+	accepted   int
 	limit      int
 	unfinished int
+	tally      tally
 	// idle is Waited on by Wait. Submit adds to it under mu and refuses
 	// once closing, so no Add can race a Wait that follows Close.
 	idle    sync.WaitGroup
 	closing bool
 }
 
-// New returns a queue holding at most depth unfinished jobs.
+// tally counts every job a queue accepted by state, and the runs they
+// completed. A job moves itself under its own lock at each transition,
+// before it logs the transition's events: a client that has seen a job
+// finish sees it counted as finished.
+type tally struct {
+	mu       sync.Mutex
+	byState  map[State]int
+	runsDone uint64
+}
+
+// move counts one job leaving state from ("" for a new job) for to.
+func (t *tally) move(from, to State) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if from != "" {
+		t.byState[from]--
+	}
+	t.byState[to]++
+}
+
+// ran counts one completed run.
+func (t *tally) ran() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.runsDone++
+}
+
+// New returns a queue holding at most depth unfinished jobs and keeping
+// the RetainedPerSlot × depth most recently finished ones.
 func New(depth int) *Queue {
 	return &Queue{
 		jobs:  make(map[string]*Job),
+		keep:  RetainedPerSlot * depth,
 		limit: depth,
+		tally: tally{byState: make(map[State]int)},
 	}
 }
 
@@ -48,7 +103,17 @@ func (q *Queue) NewID() string {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.nextID++
-	return fmt.Sprintf("j%06d", q.nextID)
+	return jobID(q.nextID)
+}
+
+// jobID renders the nth job id.
+func jobID(n int) string { return fmt.Sprintf("j%06d", n) }
+
+// issued reports whether id is one NewID has returned.
+func (q *Queue) issued(id string) bool {
+	digits, ok := strings.CutPrefix(id, "j")
+	n, err := strconv.Atoi(digits)
+	return ok && err == nil && n >= 1 && n <= q.nextID && jobID(n) == id
 }
 
 // Submit registers a job and counts it as unfinished until Done, or
@@ -65,38 +130,80 @@ func (q *Queue) Submit(j *Job) error {
 	q.unfinished++
 	q.idle.Add(1)
 	q.jobs[j.id] = j
-	q.order = append(q.order, j.id)
+	j.seq = q.accepted
+	q.accepted++
+	j.mu.Lock()
+	j.tally = &q.tally
+	q.tally.move("", j.state)
+	j.mu.Unlock()
 	return nil
 }
 
-// Done marks one submitted job finished, freeing its place.
-func (q *Queue) Done() {
+// Done marks a submitted job finished, freeing its place. The job joins
+// the window of finished jobs, and the one that finished longest ago
+// leaves it once the window is full.
+func (q *Queue) Done(j *Job) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.unfinished--
 	q.idle.Done()
+	if len(q.finished) < q.keep {
+		q.finished = append(q.finished, j)
+		return
+	}
+	delete(q.jobs, q.finished[q.oldest].id)
+	q.finished[q.oldest] = j
+	q.oldest = (q.oldest + 1) % q.keep
 }
 
 // Wait blocks until every submitted job is Done.
 func (q *Queue) Wait() { q.idle.Wait() }
 
-// Get looks a job up by id.
-func (q *Queue) Get(id string) (*Job, bool) {
+// Get looks a job up by id. The error wraps ErrExpired for a job the
+// queue has forgotten: NewID issues ids in increasing order, so an
+// issued id the queue no longer holds is one that expired. Any other
+// miss is an unknown job.
+func (q *Queue) Get(id string) (*Job, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	j, ok := q.jobs[id]
-	return j, ok
+	if j, ok := q.jobs[id]; ok {
+		return j, nil
+	}
+	if q.issued(id) {
+		return nil, fmt.Errorf("job %q %w: only the newest finished jobs stay queryable; "+
+			"resubmit the request, and the result store answers it without simulating", id, ErrExpired)
+	}
+	return nil, fmt.Errorf("unknown job %q", id)
 }
 
-// Jobs returns every accepted job in submission order.
+// Jobs returns the jobs the queue keeps, unfinished and retained
+// finished ones, in submission order.
 func (q *Queue) Jobs() []*Job {
 	q.mu.Lock()
-	defer q.mu.Unlock()
-	out := make([]*Job, len(q.order))
-	for i, id := range q.order {
-		out[i] = q.jobs[id]
+	out := make([]*Job, 0, len(q.jobs))
+	for _, j := range q.jobs {
+		out = append(out, j)
 	}
+	q.mu.Unlock()
+	sort.Slice(out, func(a, b int) bool { return out[a].seq < out[b].seq })
 	return out
+}
+
+// Counts returns how many of the jobs the queue ever accepted are in
+// each state, keyed by state name (a state no job is in is absent), and
+// the runs they completed between them. Forgetting a finished job
+// changes neither.
+func (q *Queue) Counts() (byState map[string]int, runsDone uint64) {
+	t := &q.tally
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	byState = make(map[string]int)
+	for _, s := range States {
+		if n := t.byState[s]; n > 0 {
+			byState[string(s)] = n
+		}
+	}
+	return byState, t.runsDone
 }
 
 // Depth is the number of accepted jobs that have not finished.

@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -29,26 +31,28 @@ func TestQueueSubmitGetOrder(t *testing.T) {
 			t.Fatalf("Jobs()[%d] = %s, want submission order %v", i, j.ID(), ids)
 		}
 	}
-	j, ok := q.Get(ids[1])
-	if !ok || j.ID() != ids[1] {
-		t.Fatalf("Get(%s) = %v, %v", ids[1], j, ok)
+	j, err := q.Get(ids[1])
+	if err != nil || j.ID() != ids[1] {
+		t.Fatalf("Get(%s) = %v, %v", ids[1], j, err)
 	}
-	if _, ok := q.Get("j999999"); ok {
+	if _, err := q.Get("j999999"); err == nil {
 		t.Fatal("Get of unknown id succeeded")
 	}
 }
 
 func TestQueueFullAndClosed(t *testing.T) {
 	q := New(1)
-	if err := q.Submit(NewJob(q.NewID(), "run", "", 1)); err != nil {
+	first := NewJob(q.NewID(), "run", "", 1)
+	if err := q.Submit(first); err != nil {
 		t.Fatal(err)
 	}
 	if err := q.Submit(NewJob(q.NewID(), "run", "", 1)); err != ErrFull {
 		t.Fatalf("overflow submit err = %v, want ErrFull", err)
 	}
 	// A finished job frees its place.
-	q.Done()
-	if err := q.Submit(NewJob(q.NewID(), "run", "", 1)); err != nil {
+	q.Done(first)
+	second := NewJob(q.NewID(), "run", "", 1)
+	if err := q.Submit(second); err != nil {
 		t.Fatalf("submit after Done: %v", err)
 	}
 	if err := q.Close(); err != nil {
@@ -65,7 +69,7 @@ func TestQueueFullAndClosed(t *testing.T) {
 	if q.Depth() != 1 {
 		t.Fatalf("depth after close = %d, want the 1 unfinished job", q.Depth())
 	}
-	q.Done()
+	q.Done(second)
 	q.Wait()
 	if q.Depth() != 0 {
 		t.Fatalf("depth after Done = %d, want 0", q.Depth())
@@ -215,5 +219,176 @@ func TestTerminalEventCarriesStatus(t *testing.T) {
 				t.Fatalf("non-terminal event %s carries a status: %s", e.Type, e.Data)
 			}
 		}
+	}
+}
+
+// finish runs a submitted job to done and marks it Done, as the service
+// does.
+func finish(q *Queue, j *Job) {
+	j.SetState(StateRunning, "")
+	j.Progress("line")
+	j.Finish("csv\n", nil)
+	q.Done(j)
+}
+
+// TestWindowEvictsInFinishOrder: the queue keeps RetainedPerSlot × depth
+// finished jobs and forgets the one that finished longest ago, so a job
+// submitted first and finished last outlives every job it overlapped.
+// A forgotten id reports ErrExpired; an id never issued, or not in the
+// issued form, stays unknown.
+func TestWindowEvictsInFinishOrder(t *testing.T) {
+	const depth = 2
+	w := RetainedPerSlot * depth
+	q := New(depth)
+	long := NewJob(q.NewID(), "batch", "", 1)
+	if err := q.Submit(long); err != nil {
+		t.Fatal(err)
+	}
+	var short []*Job
+	for i := 0; i < w+3; i++ {
+		j := NewJob(q.NewID(), "run", "", 1)
+		if err := q.Submit(j); err != nil {
+			t.Fatal(err)
+		}
+		finish(q, j)
+		short = append(short, j)
+	}
+	finish(q, long)
+
+	jobs := q.Jobs()
+	if len(jobs) != w || jobs[0] != long {
+		t.Fatalf("Jobs() holds %d jobs starting at %s, want %d starting at the long job", len(jobs), jobs[0].ID(), w)
+	}
+	for i := 1; i < len(jobs); i++ {
+		if jobs[i].seq <= jobs[i-1].seq {
+			t.Fatalf("Jobs() out of submission order at %d", i)
+		}
+	}
+	// w+4 jobs finished into a window of w: the first four short ones,
+	// which finished first, are gone.
+	for i, j := range short {
+		_, err := q.Get(j.ID())
+		if expired := i < 4; expired != errors.Is(err, ErrExpired) || !expired && err != nil {
+			t.Fatalf("Get(short %d) = %v, want expired %v", i, err, expired)
+		}
+	}
+	if j, err := q.Get(long.ID()); err != nil || j != long {
+		t.Fatalf("Get(long) = %v, %v", j, err)
+	}
+	for _, id := range []string{"j999999", "j0000001", "j0", "j-1", "x", ""} {
+		if _, err := q.Get(id); err == nil || errors.Is(err, ErrExpired) || err.Error() != `unknown job "`+id+`"` {
+			t.Fatalf("Get(%q) = %v, want unknown job", id, err)
+		}
+	}
+}
+
+// TestCountsMatchWalk: Counts returns what a walk over every accepted
+// job would, in every state, and keeps counting once jobs are forgotten.
+func TestCountsMatchWalk(t *testing.T) {
+	q := New(4)
+	walk := func() (map[string]int, uint64) {
+		by := map[string]int{}
+		var runs uint64
+		for _, j := range q.Jobs() {
+			st := j.Status()
+			by[string(st.State)]++
+			runs += uint64(st.RunsDone)
+		}
+		return by, runs
+	}
+	check := func(when string) {
+		t.Helper()
+		gotBy, gotRuns := q.Counts()
+		wantBy, wantRuns := walk()
+		if fmt.Sprint(gotBy) != fmt.Sprint(wantBy) || gotRuns != wantRuns {
+			t.Fatalf("%s: Counts() = %v, %d; a walk gives %v, %d", when, gotBy, gotRuns, wantBy, wantRuns)
+		}
+	}
+	check("empty")
+	queued := NewJob(q.NewID(), "run", "", 1)
+	running := NewJob(q.NewID(), "batch", "", 3)
+	failed := NewJob(q.NewID(), "run", "", 1)
+	canceled := NewJob(q.NewID(), "run", "", 1)
+	for _, j := range []*Job{queued, running, failed, canceled} {
+		if err := q.Submit(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("submitted")
+	if err := q.Submit(NewJob(q.NewID(), "run", "", 1)); err != ErrFull {
+		t.Fatalf("fifth submit: %v, want ErrFull", err)
+	}
+	check("after a rejected submit")
+	running.SetState(StateRunning, "")
+	running.Progress("a")
+	running.Progress("b")
+	failed.SetState(StateRunning, "")
+	failed.Finish("", errors.New("boom"))
+	q.Done(failed)
+	canceled.Finish("", context.Canceled)
+	q.Done(canceled)
+	check("mixed states")
+
+	// Past the window, done jobs and runs keep counting.
+	n := RetainedPerSlot*4 + 5
+	for i := 0; i < n; i++ {
+		j := NewJob(q.NewID(), "run", "", 1)
+		if err := q.Submit(j); err != nil {
+			t.Fatal(err)
+		}
+		finish(q, j)
+	}
+	by, runs := q.Counts()
+	if by["done"] != n || by["queued"] != 1 || by["running"] != 1 || by["failed"] != 1 || by["canceled"] != 1 || runs != uint64(n+2) {
+		t.Fatalf("after %d more jobs: Counts() = %v, %d", n, by, runs)
+	}
+}
+
+// TestConcurrentJobsAndReaders: jobs submitted, run and retired from
+// several goroutines while others read the counters, the job list and
+// single jobs. Under -race this checks every shared path of the window
+// and the tally; at the end the counters hold every job and the window
+// its size.
+func TestConcurrentJobsAndReaders(t *testing.T) {
+	const depth, workers, perWorker = 2, 4, 100
+	q := New(depth * workers)
+	stop := make(chan struct{})
+	readers := make(chan struct{})
+	go func() {
+		defer close(readers)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			q.Counts()
+			for _, j := range q.Jobs() {
+				q.Get(j.ID())
+				j.Status()
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				j := NewJob(q.NewID(), "run", "", 1)
+				if err := q.Submit(j); err != nil {
+					t.Error(err)
+					return
+				}
+				finish(q, j)
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-readers
+	by, runs := q.Counts()
+	if by["done"] != workers*perWorker || runs != workers*perWorker || len(q.Jobs()) != RetainedPerSlot*depth*workers {
+		t.Fatalf("Counts() = %v, %d and %d jobs kept after %d jobs", by, runs, len(q.Jobs()), workers*perWorker)
 	}
 }

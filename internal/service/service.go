@@ -32,8 +32,8 @@
 //	POST /v1/runs                  submit one simulation        → job
 //	POST /v1/sweeps                submit an evaluation sweep   → job
 //	POST /v1/batch                 submit an explicit run list  → job
-//	GET  /v1/jobs                  list jobs
-//	GET  /v1/jobs/{id}             job status
+//	GET  /v1/jobs                  list the jobs the queue keeps
+//	GET  /v1/jobs/{id}             job status (404 once expired)
 //	GET  /v1/jobs/{id}/events      SSE progress stream (?after=<id> resumes)
 //	GET  /v1/jobs/{id}/result      result CSV (once done)
 package service
@@ -232,7 +232,7 @@ func (s *Server) admit(j *queue.Job, body func(*queue.Job) (string, error)) erro
 
 // runJob executes an admitted job's body and records its outcome.
 func (s *Server) runJob(j *queue.Job, body func(*queue.Job) (string, error)) {
-	defer s.q.Done()
+	defer s.q.Done(j)
 	if err := s.runCtx.Err(); err != nil {
 		j.Finish("", err)
 		return
@@ -411,8 +411,20 @@ func (s *Server) enqueueAndRespond(w http.ResponseWriter, j *queue.Job, body fun
 
 // --- queries --------------------------------------------------------------
 
-func (s *Server) lookup(r *http.Request) (*queue.Job, bool) {
-	return s.q.Get(r.PathValue("id"))
+// lookup returns the job the request's path names, or answers 404: an
+// unknown job, or one the queue has forgotten, whose body also carries
+// "expired": true (resubmitting its request is a result-store hit).
+func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*queue.Job, bool) {
+	j, err := s.q.Get(r.PathValue("id"))
+	if err != nil {
+		body := map[string]any{"error": err.Error()}
+		if errors.Is(err, queue.ErrExpired) {
+			body["expired"] = true
+		}
+		writeJSON(w, http.StatusNotFound, body)
+		return nil, false
+	}
+	return j, true
 }
 
 func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
@@ -425,18 +437,16 @@ func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(r)
+	j, ok := s.lookup(w, r)
 	if !ok {
-		httpError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
 	writeJSON(w, http.StatusOK, j.Status())
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(r)
+	j, ok := s.lookup(w, r)
 	if !ok {
-		httpError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
 	csv, state, errMsg := j.Result()
@@ -459,9 +469,8 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 // live appends, ending after the terminal event. ?after=<id> resumes past
 // already-seen events.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(r)
+	j, ok := s.lookup(w, r)
 	if !ok {
-		httpError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
 	// ResponseController sees through the middleware's writer wrapper
@@ -521,8 +530,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // StatsSnapshot is the JSON shape of GET /v1/stats: expvar-style counters
 // for dashboards and the CI smoke test.
 type StatsSnapshot struct {
-	UptimeSeconds float64        `json:"uptime_seconds"`
-	QueueDepth    int            `json:"queue_depth"`
+	UptimeSeconds float64 `json:"uptime_seconds"`
+	QueueDepth    int     `json:"queue_depth"`
+	// Jobs and RunsCompleted count every job accepted since the daemon
+	// started, including finished jobs it no longer keeps.
 	Jobs          map[string]int `json:"jobs"`
 	RunsCompleted uint64         `json:"runs_completed"`
 	SimsRun       uint64         `json:"sims_run"`
@@ -541,27 +552,16 @@ type StatsSnapshot struct {
 	PrefetchLate   uint64 `json:"prefetch_late,omitempty"`
 }
 
-// jobCounts tallies jobs by state and completed runs across all jobs.
-func (s *Server) jobCounts() (byState map[string]int, runsDone int) {
-	byState = make(map[string]int)
-	for _, j := range s.q.Jobs() {
-		js := j.Status()
-		byState[string(js.State)]++
-		runsDone += js.RunsDone
-	}
-	return byState, runsDone
-}
-
 // Stats snapshots the server's counters.
 func (s *Server) Stats() StatsSnapshot {
 	st := s.opts.Store.Stats()
-	byState, runsDone := s.jobCounts()
+	byState, runsDone := s.q.Counts()
 	up := time.Since(s.start).Seconds()
 	snap := StatsSnapshot{
 		UptimeSeconds: up,
 		QueueDepth:    s.q.Depth(),
 		Jobs:          byState,
-		RunsCompleted: uint64(runsDone),
+		RunsCompleted: runsDone,
 		SimsRun:       st.Misses,
 		CacheHits:     st.Hits + st.Coalesced,
 		CacheMisses:   st.Misses,
