@@ -32,7 +32,6 @@ import (
 	"syscall"
 
 	"raccd/internal/cpu"             //raccd:layering-ok info -deltas reuses the prefetcher's delta trainer for trace profiling
-	"raccd/internal/mem"             //raccd:layering-ok record/replay addresses are mem.Addr; the RTF wire format is defined over them
 	"raccd/internal/tracefile"       //raccd:layering-ok raccdtrace IS the RTF tooling; encode/decode/validate have no public mirror beyond Read/WriteTrace
 	"raccd/internal/workloads"       //raccd:layering-ok record resolves bench names and scales through the registry
 	"raccd/internal/workloads/synth" //raccd:layering-ok synth subcommand parses/canonicalizes generator specs
@@ -194,8 +193,9 @@ func runInfo(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		s := tr.Summarize(true)
 		fmt.Fprintf(stdout, "%s:\n", path)
 		fmt.Fprintf(stdout, "  workload     %s\n", tr.Name())
-		fmt.Fprintf(stdout, "  version      %d\n", tr.Header.Version)
-		fmt.Fprintf(stdout, "  fingerprint  %#016x\n", tr.Header.Fingerprint)
+		hdr := tr.Header()
+		fmt.Fprintf(stdout, "  version      %d\n", hdr.Version)
+		fmt.Fprintf(stdout, "  fingerprint  %#016x\n", hdr.Fingerprint)
 		if st != nil {
 			fmt.Fprintf(stdout, "  file size    %d bytes\n", st.Size())
 		}
@@ -217,14 +217,11 @@ func runInfo(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 // offline before any sweep.
 func printDeltas(w io.Writer, tr *tracefile.Trace, n int) {
 	p := cpu.NewDeltaProfile()
-	for _, task := range tr.Tasks {
-		for _, op := range task.Ops {
-			switch op.Kind {
-			case tracefile.OpLoad, tracefile.OpStore:
-				p.Observe(mem.Addr(op.Block) * mem.BlockSize)
-			}
+	tr.EachOp(func(_ int, op tracefile.Op) {
+		if op.Kind != tracefile.OpCompute {
+			p.Observe(op.Block.Addr())
 		}
-	}
+	})
 	fmt.Fprintf(w, "  deltas       %d stride observations over %d accesses, predicted coverage %.1f%%\n",
 		p.Strides(), p.Observations(), p.PredictedCoverage()*100)
 	top := p.Top(n)
@@ -261,7 +258,7 @@ func runValidate(ctx context.Context, args []string, stdout, stderr io.Writer) i
 			code = 1
 			continue
 		}
-		fmt.Fprintf(stdout, "%s: OK (%s, %d tasks, checksum verified)\n", path, tr.Name(), len(tr.Tasks))
+		fmt.Fprintf(stdout, "%s: OK (%s, %d tasks, checksum verified)\n", path, tr.Name(), tr.Header().Tasks)
 	}
 	return code
 }

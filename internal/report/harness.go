@@ -110,13 +110,14 @@ func (m Matrix) knobs(k Key) sim.Knobs {
 }
 
 // simulate runs one cell through Simulate, keyed by (cfg.Fingerprint,
-// workloads.Identity) when m.Cache is attached, and reports a
-// simulation it executed to OnSimulated.
-func (m Matrix) simulate(ctx context.Context, k sim.Knobs, workload string) (sim.Result, error) {
+// workload identity) when m.Cache is attached, and reports a simulation
+// it executed to OnSimulated. ids resolves each workload's identity once
+// for all the cells of one sweep.
+func (m Matrix) simulate(ctx context.Context, ids *workloads.Identities, k sim.Knobs, workload string) (sim.Result, error) {
 	cfg := k.Resolve()
 	var key resultstore.Key
 	if m.Cache != nil {
-		id, err := workloads.Identity(workload, m.Scale)
+		id, err := ids.Identity(workload, m.Scale)
 		if err != nil {
 			return sim.Result{}, err
 		}
@@ -176,10 +177,11 @@ func (m Matrix) Run() (*Set, error) {
 func (m Matrix) RunContext(ctx context.Context) (*Set, error) {
 	keys := m.Keys()
 	set := NewSet(nil)
+	ids := new(workloads.Identities)
 	err := runner.Run(ctx, m.Jobs, len(keys),
 		func(ctx context.Context, i int) (sim.Result, error) {
 			k := keys[i]
-			res, err := m.simulate(ctx, m.knobs(k), k.Workload)
+			res, err := m.simulate(ctx, ids, m.knobs(k), k.Workload)
 			if err != nil {
 				return sim.Result{}, fmt.Errorf("report: run %v (scale %g): %w", k, m.Scale, err)
 			}
@@ -219,12 +221,13 @@ func (m Matrix) RunNCRTSweepContext(ctx context.Context) (map[uint64]map[string]
 		}
 	}
 	out := make(map[uint64]map[string]uint64, len(NCRTLatencies))
+	ids := new(workloads.Identities)
 	err := runner.Run(ctx, m.Jobs, len(specs),
 		func(ctx context.Context, i int) (sim.Result, error) {
 			s := specs[i]
 			k := m.knobs(Key{Workload: s.name, System: coherence.RaCCD, Ratio: 1})
 			k.NCRTLatency = s.lat
-			res, err := m.simulate(ctx, k, s.name)
+			res, err := m.simulate(ctx, ids, k, s.name)
 			if err != nil {
 				return sim.Result{}, fmt.Errorf("report: run %s/RaCCD 1:1 ncrt=%d (scale %g): %w", s.name, s.lat, m.Scale, err)
 			}

@@ -54,18 +54,18 @@ func (s Spec) Key() string { return s.Fingerprint + " | " + s.Identity }
 // NewSpec validates and materializes a wire request into a Spec. The
 // error is the same the daemon's submit validation would return.
 func NewSpec(req client.RunRequest) (Spec, error) {
-	return identities(nil).spec(req)
+	return newSpec(req, new(workloads.Identities))
 }
 
 // NewSpecs is NewSpec over the runs of one request; the error names the
 // first invalid run by its index. It resolves each distinct (workload,
-// scale) identity once: a trace: identity reads and hashes the whole
-// file, so runs that share a trace hash it once between them.
+// scale) identity once: a trace: identity reads, parses and hashes the
+// whole file, so runs that share a trace do that once between them.
 func NewSpecs(reqs []client.RunRequest) ([]Spec, error) {
-	ids := identities{}
+	ids := new(workloads.Identities)
 	specs := make([]Spec, len(reqs))
 	for i, req := range reqs {
-		spec, err := ids.spec(req)
+		spec, err := newSpec(req, ids)
 		if err != nil {
 			return nil, fmt.Errorf("run %d: %w", i, err)
 		}
@@ -74,31 +74,16 @@ func NewSpecs(reqs []client.RunRequest) ([]Spec, error) {
 	return specs, nil
 }
 
-// identities memoizes workloads.Identity by workload and resolved scale
-// across the runs of one request; a nil map resolves every run afresh.
-type identities map[identityKey]string
-
-type identityKey struct {
-	workload string
-	scale    float64
-}
-
-// spec is NewSpec with the workload identity taken from, or added to,
+// newSpec is NewSpec with the workload identity taken from, or added to,
 // ids.
-func (ids identities) spec(req client.RunRequest) (Spec, error) {
+func newSpec(req client.RunRequest, ids *workloads.Identities) (Spec, error) {
 	cfg, err := exec.BuildConfig(req, "", 0)
 	if err != nil {
 		return Spec{}, err
 	}
-	k := identityKey{req.Workload, exec.Scale(req)}
-	id, ok := ids[k]
-	if !ok {
-		if id, err = workloads.Identity(k.workload, k.scale); err != nil {
-			return Spec{}, err
-		}
-		if ids != nil {
-			ids[k] = id
-		}
+	id, err := ids.Identity(req.Workload, exec.Scale(req))
+	if err != nil {
+		return Spec{}, err
 	}
 	return Spec{Request: req, Config: cfg, Fingerprint: cfg.Fingerprint(), Identity: id}, nil
 }

@@ -13,6 +13,7 @@ import (
 	"raccd/internal/report"
 	"raccd/internal/runner"
 	"raccd/internal/sim"
+	"raccd/internal/workloads"
 )
 
 // DefaultInFlight is the per-backend cap on concurrently dispatched
@@ -57,7 +58,7 @@ func PickName(key string, names []string) int {
 func SpecsFromMatrix(m report.Matrix, machineName string) ([]Spec, error) {
 	keys := m.Keys()
 	specs := make([]Spec, 0, len(keys))
-	ids := identities{}
+	ids := new(workloads.Identities)
 	for _, k := range keys {
 		rr := client.RunRequest{
 			Workload:         k.Workload,
@@ -71,7 +72,7 @@ func SpecsFromMatrix(m report.Matrix, machineName string) ([]Spec, error) {
 			PrefetchDegree:   m.PrefetchDegree,
 			PrefetchDistance: m.PrefetchDistance,
 		}
-		spec, err := ids.spec(rr)
+		spec, err := newSpec(rr, ids)
 		if err != nil {
 			return nil, err
 		}

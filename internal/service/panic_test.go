@@ -12,6 +12,7 @@ import (
 	"raccd/internal/mem"
 	"raccd/internal/rts"
 	"raccd/internal/tracefile"
+	"raccd/internal/workloads"
 )
 
 // writeMisannotatedTrace writes an RTF trace of valid tasks, each
@@ -22,18 +23,20 @@ import (
 func writeMisannotatedTrace(t *testing.T, valid int) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "bad.rtf")
-	task := func(i int, store mem.Addr) tracefile.TaskTrace {
-		return tracefile.TaskTrace{
-			Name: fmt.Sprintf("t%d", i),
-			Deps: []rts.Dep{{Range: mem.Range{Start: 0x1000_0000, Size: mem.BlockSize}, Mode: rts.Out}},
-			Ops:  []tracefile.Op{{Kind: tracefile.OpStore, Block: mem.BlockOf(store)}},
+	w := workloads.New("misannotated", func(g *rts.Graph) {
+		out := []rts.Dep{{Range: mem.Range{Start: 0x1000_0000, Size: mem.BlockSize}, Mode: rts.Out}}
+		for i := 0; i <= valid; i++ {
+			store := mem.Addr(0x1000_0000)
+			if i == valid {
+				store = 0x2000_0000
+			}
+			g.Add(fmt.Sprintf("t%d", i), out, func(ctx *rts.Ctx) { ctx.Store(store) })
 		}
+	})
+	tr, err := tracefile.Record(w, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	tr := &tracefile.Trace{Header: tracefile.Header{Name: "misannotated"}}
-	for i := 0; i < valid; i++ {
-		tr.Tasks = append(tr.Tasks, task(i, 0x1000_0000))
-	}
-	tr.Tasks = append(tr.Tasks, task(valid, 0x2000_0000))
 	if err := tracefile.WriteFile(path, tr); err != nil {
 		t.Fatal(err)
 	}

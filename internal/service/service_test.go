@@ -230,6 +230,18 @@ func TestConcurrentSameFingerprint(t *testing.T) {
 func TestSubmitValidation(t *testing.T) {
 	_, c := newTestServer(t, Options{MaxSweepRuns: 10})
 	ctx := context.Background()
+	// A trace file with one body byte flipped: it exists, but its
+	// checksum no longer holds.
+	corrupt := writeMisannotatedTrace(t, 2)
+	data, err := os.ReadFile(corrupt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x40
+	if err := os.WriteFile(corrupt, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	corrupt = "trace:" + corrupt
 
 	cases := []struct {
 		name string
@@ -253,6 +265,20 @@ func TestSubmitValidation(t *testing.T) {
 		}},
 		{"missing trace file", func() error {
 			_, err := c.SubmitRun(ctx, client.RunRequest{Workload: "trace:/does/not/exist.rtf", System: "PT"})
+			return err
+		}},
+		{"corrupt trace file", func() error {
+			_, err := c.SubmitRun(ctx, client.RunRequest{Workload: corrupt, System: "PT"})
+			return err
+		}},
+		{"batch with a corrupt trace file", func() error {
+			_, err := c.SubmitBatch(ctx, client.BatchRequest{Runs: []client.RunRequest{
+				{Workload: "Jacobi", System: "PT"}, {Workload: corrupt, System: "PT"},
+			}})
+			return err
+		}},
+		{"sweep over a corrupt trace file", func() error {
+			_, err := c.SubmitSweep(ctx, client.SweepRequest{Workloads: []string{corrupt}, Ratios: []int{1}})
 			return err
 		}},
 		{"bad scheduler", func() error {
@@ -297,6 +323,9 @@ func TestSubmitValidation(t *testing.T) {
 		}
 		if apiErr.Message == "" {
 			t.Errorf("%s: empty error message", tc.name)
+		}
+		if strings.Contains(tc.name, "corrupt") && !strings.Contains(apiErr.Message, "tracefile: ") {
+			t.Errorf("%s: message %q is not the decode error", tc.name, apiErr.Message)
 		}
 	}
 }

@@ -4,18 +4,20 @@
 // block-granular access stream. A workload recorded to RTF — whether a
 // bundled benchmark, a synthetic task graph or a user program — replays
 // under every coherence scheme, directory ratio, ADR and SMT configuration
-// exactly like a native workload: a decoded *Trace satisfies sim.Workload.
+// exactly like a native workload: a *Trace satisfies sim.Workload.
 //
 // The format is a self-describing header followed by per-task records with
 // varint delta encoding (see docs/TRACE_FORMAT.md for the wire layout) and
-// a trailing FNV-1a checksum. Encoding and decoding are streaming: tasks
-// are written and read one at a time, so traces never need to fit in
-// memory twice.
+// a trailing FNV-1a checksum. A Trace is its file's bytes plus an index of
+// its tasks: Parse checks every bound, the task count, the checksum and
+// the absence of trailing bytes in one pass, and it is the only way to
+// make a Trace. Task bodies replay their ops straight from those bytes,
+// and Encode writes them back out unchanged.
 package tracefile
 
 import (
+	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 
 	"raccd/internal/mem"
 	"raccd/internal/rts"
@@ -44,7 +46,8 @@ const (
 	maxValidateBlocks = 1 << 24
 )
 
-// OpKind is the type of one access-stream operation.
+// OpKind is the type of one access-stream operation: the low two bits of
+// its op word.
 type OpKind uint8
 
 // The three operation kinds of a task's access stream.
@@ -58,33 +61,13 @@ const (
 	OpCompute
 )
 
-func (k OpKind) String() string {
-	switch k {
-	case OpLoad:
-		return "load"
-	case OpStore:
-		return "store"
-	case OpCompute:
-		return "compute"
-	}
-	return fmt.Sprintf("OpKind(%d)", uint8(k))
-}
-
-// Op is one operation of a task's access stream.
+// Op is one operation of a task's access stream, as EachOp yields it.
 type Op struct {
 	Kind OpKind
 	// Block is the accessed cache block (OpLoad, OpStore).
 	Block mem.Block
 	// Cycles is the pure-compute latency (OpCompute).
 	Cycles uint64
-}
-
-// TaskTrace is one task of a serialized workload: its dependence
-// annotations exactly as declared, and the operations its body issues.
-type TaskTrace struct {
-	Name string
-	Deps []rts.Dep
-	Ops  []Op
 }
 
 // Header is the self-describing RTF preamble.
@@ -102,163 +85,111 @@ type Header struct {
 	Tasks int
 }
 
-// Trace is a fully decoded (or about-to-be-encoded) workload. A *Trace is
-// a sim.Workload: Build replays the recorded graph and access streams.
+// Trace is the validated bytes of one RTF file plus an index of its
+// tasks. Make one with Parse (or Decode, ReadFile, Record). A *Trace is a
+// sim.Workload: Build replays the recorded graph and access streams. It
+// is never modified after Parse, so one Trace may be built and replayed
+// from many goroutines at once.
 type Trace struct {
-	Header Header
-	Tasks  []TaskTrace
+	data  []byte // the whole file, checksum included
+	hdr   Header
+	tasks []task
 }
 
+// task indexes one task record.
+type task struct {
+	name string
+	deps []rts.Dep
+	ops  []byte    // the task's op words: a span of Trace.data
+	base mem.Block // the block the first load/store delta applies to
+}
+
+// Header returns the file header.
+func (t *Trace) Header() Header { return t.hdr }
+
 // Name returns the workload name carried in the header.
-func (t *Trace) Name() string { return t.Header.Name }
+func (t *Trace) Name() string { return t.hdr.Name }
+
+// zigzag maps signed deltas onto small unsigned varints.
+func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
+
+// unzigzag inverts zigzag.
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // Build populates g with the traced task graph. Each task gets the
 // recorded dependence annotations and a body that replays the recorded
-// access stream, so dependence detection, scheduling, register/invalidate
-// traffic and golden-memory validation behave exactly as they would for
-// the original workload.
+// access stream from the trace's bytes, so dependence detection,
+// scheduling, register/invalidate traffic and golden-memory validation
+// behave exactly as they would for the original workload. The bodies
+// decode op words themselves rather than through EachOp: replay is the
+// hot path, and a call per op is measurable there.
 func (t *Trace) Build(g *rts.Graph) {
-	for i := range t.Tasks {
-		tt := &t.Tasks[i]
-		var deps []rts.Dep
-		if len(tt.Deps) > 0 {
-			deps = make([]rts.Dep, len(tt.Deps))
-			copy(deps, tt.Deps)
-		}
-		ops := tt.Ops
-		g.Add(tt.Name, deps, func(ctx *rts.Ctx) {
-			for _, op := range ops {
-				switch op.Kind {
+	for i := range t.tasks {
+		tk := &t.tasks[i]
+		ops, base := tk.ops, tk.base
+		g.Add(tk.name, tk.deps, func(ctx *rts.Ctx) {
+			b := base
+			for p := 0; p < len(ops); {
+				// Parse checked every word; most are one byte.
+				w, n := uint64(ops[p]), 1
+				if w >= 0x80 {
+					w, n = binary.Uvarint(ops[p:])
+				}
+				p += n
+				switch OpKind(w & 3) {
 				case OpLoad:
-					ctx.Load(op.Block.Addr())
+					b += mem.Block(unzigzag(w >> 2))
+					ctx.Load(b.Addr())
 				case OpStore:
-					ctx.Store(op.Block.Addr())
-				case OpCompute:
-					ctx.Compute(op.Cycles)
+					b += mem.Block(unzigzag(w >> 2))
+					ctx.Store(b.Addr())
+				default: // OpCompute: Parse rejected the fourth kind
+					ctx.Compute(w >> 2)
 				}
 			}
 		})
 	}
 }
 
-// Builder is what Record needs from a workload: the same method set as
-// sim.Workload (kept structural here to avoid importing the simulator).
-type Builder interface {
-	Name() string
-	Build(g *rts.Graph)
-}
-
-// Record builds w's task graph and captures every task's access stream by
-// dry-running the task bodies against a capturing machine: no simulation
-// state is involved, so a recording is scheme-independent and
-// deterministic. The fingerprint is stored in the header; use
-// Fingerprint(...) over a canonical parameter string.
-//
-// Access streams are captured at cache-block granularity (the granularity
-// at which the simulated hierarchy operates), and pure-compute cycles are
-// aggregated into one trailing OpCompute — both lossless for simulation
-// results, which depend only on the block sequence and the additive
-// compute total.
-func Record(w Builder, fingerprint uint64) (*Trace, error) {
-	g := rts.NewGraph()
-	w.Build(g)
-	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("tracefile: record %s: %w", w.Name(), err)
-	}
-	tr := &Trace{Header: Header{
-		Version:     Version,
-		Name:        w.Name(),
-		Fingerprint: fingerprint,
-		Tasks:       g.NumTasks(),
-	}}
-	tr.Tasks = make([]TaskTrace, 0, g.NumTasks())
-	for _, t := range g.Tasks() {
-		rec := &opRecorder{}
-		ctx := rts.NewCtx(0, t, rec)
-		if t.Body != nil {
-			t.Body(ctx)
+// EachOp calls fn for every op of the trace: tasks in file order, each
+// task's ops in issue order.
+func (t *Trace) EachOp(fn func(task int, op Op)) {
+	for i := range t.tasks {
+		tk := &t.tasks[i]
+		b := tk.base
+		for p := 0; p < len(tk.ops); {
+			w, n := uint64(tk.ops[p]), 1
+			if w >= 0x80 {
+				w, n = binary.Uvarint(tk.ops[p:])
+			}
+			p += n
+			op := Op{Kind: OpKind(w & 3)}
+			if op.Kind == OpCompute {
+				op.Cycles = w >> 2
+			} else {
+				b += mem.Block(unzigzag(w >> 2))
+				op.Block = b
+			}
+			fn(i, op)
 		}
-		// On a recording context Cycles is exactly the pure-Compute total.
-		if c := ctx.Cycles(); c > 0 {
-			rec.ops = append(rec.ops, Op{Kind: OpCompute, Cycles: c})
-		}
-		tr.Tasks = append(tr.Tasks, TaskTrace{Name: t.Name, Deps: t.Deps, Ops: rec.ops})
 	}
-	return tr, nil
 }
-
-// opRecorder is the capturing rts.Machine behind Record: every access
-// becomes an op, every latency is zero.
-type opRecorder struct{ ops []Op }
-
-func (r *opRecorder) Access(_ int, va mem.Addr, write bool, _ uint64) uint64 {
-	k := OpLoad
-	if write {
-		k = OpStore
-	}
-	r.ops = append(r.ops, Op{Kind: k, Block: mem.BlockOf(va)})
-	return 0
-}
-
-func (r *opRecorder) RegisterRegion(int, mem.Range) uint64 { return 0 }
-func (r *opRecorder) InvalidateNC(int) uint64              { return 0 }
 
 // Fingerprint hashes a canonical parameter string into a header
 // fingerprint (FNV-1a 64).
-func Fingerprint(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return h.Sum64()
-}
+func Fingerprint(s string) uint64 { return checksum([]byte(s)) }
 
-// Validate checks the trace beyond what decoding enforces: header
-// consistency, per-record bounds (for traces built in memory rather than
-// decoded), a cap on total dependence blocks, and that the replayed task
-// graph is a well-formed DAG.
+// Validate checks what Parse leaves to a graph build: that the total
+// dependence footprint is small enough to track, and that the replayed
+// task graph is a well-formed DAG.
 func (t *Trace) Validate() error {
-	if t.Header.Version != 0 && t.Header.Version != Version {
-		return fmt.Errorf("tracefile: unsupported version %d", t.Header.Version)
-	}
-	if t.Header.Tasks != len(t.Tasks) {
-		return fmt.Errorf("tracefile: header declares %d tasks, trace has %d", t.Header.Tasks, len(t.Tasks))
-	}
-	if len(t.Header.Name) > maxNameLen {
-		return fmt.Errorf("tracefile: workload name longer than %d bytes", maxNameLen)
-	}
 	var blocks uint64
-	for i := range t.Tasks {
-		tt := &t.Tasks[i]
-		if len(tt.Name) > maxNameLen {
-			return fmt.Errorf("tracefile: task %d: name longer than %d bytes", i, maxNameLen)
-		}
-		for j, d := range tt.Deps {
-			if d.Mode > rts.InOut {
-				return fmt.Errorf("tracefile: task %d (%s): dep %d: invalid mode %d", i, tt.Name, j, d.Mode)
-			}
-			if d.Range.End() < d.Range.Start || d.Range.End() > MaxAddr {
-				return fmt.Errorf("tracefile: task %d (%s): dep %d: range %v exceeds the %#x address bound",
-					i, tt.Name, j, d.Range, uint64(MaxAddr))
-			}
+	for i := range t.tasks {
+		for _, d := range t.tasks[i].deps {
 			blocks += d.Range.NumBlocks()
 		}
 		if blocks > maxValidateBlocks {
 			return fmt.Errorf("tracefile: more than %d dependence blocks; too large to validate", maxValidateBlocks)
-		}
-		for j, op := range tt.Ops {
-			switch op.Kind {
-			case OpLoad, OpStore:
-				if op.Block > MaxBlock {
-					return fmt.Errorf("tracefile: task %d (%s): op %d: block %#x exceeds the %#x block bound",
-						i, tt.Name, j, uint64(op.Block), uint64(MaxBlock))
-				}
-			case OpCompute:
-				if op.Cycles > MaxComputeCycles {
-					return fmt.Errorf("tracefile: task %d (%s): op %d: %d compute cycles exceed the %d bound",
-						i, tt.Name, j, op.Cycles, uint64(MaxComputeCycles))
-				}
-			default:
-				return fmt.Errorf("tracefile: task %d (%s): op %d: invalid kind %d", i, tt.Name, j, op.Kind)
-			}
 		}
 	}
 	g := rts.NewGraph()
@@ -282,21 +213,20 @@ type Stats struct {
 // Summarize counts the trace's contents and, when buildGraph is set, the
 // dependence edges of the replayed TDG.
 func (t *Trace) Summarize(buildGraph bool) Stats {
-	var s Stats
-	s.Tasks = len(t.Tasks)
-	for i := range t.Tasks {
-		s.Deps += len(t.Tasks[i].Deps)
-		for _, op := range t.Tasks[i].Ops {
-			switch op.Kind {
-			case OpLoad:
-				s.Loads++
-			case OpStore:
-				s.Stores++
-			case OpCompute:
-				s.Compute += op.Cycles
-			}
-		}
+	s := Stats{Tasks: len(t.tasks)}
+	for i := range t.tasks {
+		s.Deps += len(t.tasks[i].deps)
 	}
+	t.EachOp(func(_ int, op Op) {
+		switch op.Kind {
+		case OpLoad:
+			s.Loads++
+		case OpStore:
+			s.Stores++
+		case OpCompute:
+			s.Compute += op.Cycles
+		}
+	})
 	if buildGraph {
 		g := rts.NewGraph()
 		t.Build(g)

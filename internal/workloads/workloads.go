@@ -15,14 +15,13 @@
 package workloads
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"fmt"
 	"math"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"raccd/internal/mem"
 	"raccd/internal/rts"
@@ -205,7 +204,8 @@ func Get(name string, scale float64) (Workload, error) {
 //     keeps its identity (and its cached results) while editing or
 //     re-recording it with different contents invalidates them. (The
 //     header's params fingerprint alone is not enough: it hashes the
-//     recording parameters, not the captured access streams.)
+//     recording parameters, not the captured access streams.) The file
+//     is parsed as Get parses it, so a file Get rejects has no identity.
 func Identity(name string, scale float64) (string, error) {
 	if err := checkScale(scale); err != nil {
 		return "", err
@@ -218,21 +218,52 @@ func Identity(name string, scale float64) (string, error) {
 		return p.Scaled(scale).Name(), nil
 	}
 	if path, ok := strings.CutPrefix(name, TracePrefix); ok {
-		data, err := os.ReadFile(path)
+		t, err := tracefile.ReadFile(path)
 		if err != nil {
 			return "", fmt.Errorf("workloads: %w", err)
 		}
-		d, err := tracefile.NewDecoder(bytes.NewReader(data))
-		if err != nil {
-			return "", fmt.Errorf("workloads: %w", err)
-		}
-		sum := sha256.Sum256(data)
-		return fmt.Sprintf("trace:%s/sha=%x", d.Header().Name, sum[:12]), nil
+		h := sha256.New()
+		_ = tracefile.Encode(h, t) // a hash.Hash never fails a Write
+		return fmt.Sprintf("trace:%s/sha=%x", t.Name(), h.Sum(nil)[:12]), nil
 	}
 	if _, ok := registry[name]; !ok {
 		return "", fmt.Errorf("workloads: unknown benchmark %q (have %v)", name, Names())
 	}
 	return fmt.Sprintf("bench:%s/scale=%s", name, strconv.FormatFloat(scale, 'g', -1, 64)), nil
+}
+
+// Identities memoizes Identity by workload name and scale, so the runs
+// of one request or sweep that share a trace read, parse and hash it
+// once between them. The zero value is empty and ready to use; it is
+// safe for concurrent use. A failed lookup is not remembered.
+type Identities struct {
+	mu sync.Mutex
+	m  map[identityKey]string
+}
+
+type identityKey struct {
+	name  string
+	scale float64
+}
+
+// Identity is the package-level Identity, resolved at most once per
+// (name, scale) while it succeeds.
+func (ids *Identities) Identity(name string, scale float64) (string, error) {
+	ids.mu.Lock()
+	defer ids.mu.Unlock()
+	k := identityKey{name, scale}
+	if id, ok := ids.m[k]; ok {
+		return id, nil
+	}
+	id, err := Identity(name, scale)
+	if err != nil {
+		return "", err
+	}
+	if ids.m == nil {
+		ids.m = make(map[identityKey]string)
+	}
+	ids.m[k] = id
+	return id, nil
 }
 
 // MustGet is Get that panics on unknown names.

@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -315,7 +316,6 @@ func TestIdentityNamespaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr2.Header.Name = tr.Header.Name
 	p3 := filepath.Join(dir, "other-content.rtf")
 	if err := tracefile.WriteFile(p3, tr2); err != nil {
 		t.Fatal(err)
@@ -329,6 +329,24 @@ func TestIdentityNamespaces(t *testing.T) {
 	}
 	if _, err := Identity("trace:/no/such/file.rtf", 1.0); err == nil {
 		t.Fatal("missing trace file must not get an identity")
+	}
+	// A corrupt trace gets no identity either: Identity parses the file
+	// as Get does, so the two agree on which files name a workload.
+	data, err := os.ReadFile(p1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x40
+	corrupt := filepath.Join(dir, "corrupt.rtf")
+	if err := os.WriteFile(corrupt, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, getErr := Get("trace:"+corrupt, 1.0)
+	if getErr == nil {
+		t.Fatal("Get accepted a corrupt trace")
+	}
+	if id, err := Identity("trace:"+corrupt, 1.0); err == nil || err.Error() != getErr.Error() {
+		t.Fatalf("corrupt trace file got identity %q, error %v; want Get's error %v", id, err, getErr)
 	}
 	if _, err := Identity("synth:badpreset", 1.0); err == nil {
 		t.Fatal("bad synth spec must not get an identity")
