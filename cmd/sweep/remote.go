@@ -3,10 +3,8 @@ package main
 import (
 	"context"
 	"fmt"
-	"strings"
 	"time"
 
-	"raccd"
 	"raccd/client"
 	"raccd/internal/obs" //raccd:layering-ok mints the fleet-wide trace ID workers must share; client deliberately redeclares rather than exports it
 	"raccd/internal/report"
@@ -26,14 +24,10 @@ const (
 // /v1/batch. A plain daemon simulates every run itself; a coordinator
 // (raccdd -workers) rendezvous-partitions the runs across its workers,
 // so identical runs dedupe in their home worker's cache fleet-wide. The
-// returned CSV re-indexes into a Set whose figures and CSV() are
-// byte-identical to a local sweep of the same matrix.
+// results come back in matrix order, so the returned Set's figures and
+// CSV() are byte-identical to a local sweep of the same matrix.
 func runRemote(ctx context.Context, m report.Matrix, machineName, endpoint string) (*report.Set, error) {
 	specs, err := fabric.SpecsFromMatrix(m, machineName)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := rowNames(m)
 	if err != nil {
 		return nil, err
 	}
@@ -45,41 +39,14 @@ func runRemote(ctx context.Context, m report.Matrix, machineName, endpoint strin
 	trace := obs.NewTraceID()
 	ctx = obs.WithTrace(ctx, trace)
 
-	remote := fabric.NewRemote(endpoint, client.WithRetry(remoteRetries, remoteBackoff))
-	csv, err := remote.RunBatch(ctx, specs, m.Progress)
+	remote := fabric.NewRemote(endpoint, 1, client.WithRetry(remoteRetries, remoteBackoff))
+	results, err := remote.Run(ctx, specs, func(_ int, line string) {
+		if m.Progress != nil {
+			m.Progress(line)
+		}
+	})
 	if err != nil {
 		return nil, fmt.Errorf("%w (trace %s)", err, trace)
 	}
-
-	// The batch CSV is sorted in CSV row order; re-index and re-insert in
-	// matrix order so figure row order (which follows first insertion)
-	// matches a local sweep exactly.
-	parsed, err := report.ParseCSV(strings.NewReader(csv))
-	if err != nil {
-		return nil, fmt.Errorf("%s: parsing results: %w", endpoint, err)
-	}
-	set := report.NewSet(nil)
-	for _, k := range m.Keys() {
-		res, ok := parsed.Get(rows[k.Workload], k.System, k.Ratio, k.ADR)
-		if !ok {
-			return nil, fmt.Errorf("%s: results missing %v", endpoint, k)
-		}
-		set.Add(res)
-	}
-	return set, nil
-}
-
-// rowNames maps each of m's workloads to the name its results carry —
-// the built workload's own name, so a "trace:<path>" workload's rows go
-// by the name in the trace header, as they do in a local sweep.
-func rowNames(m report.Matrix) (map[string]string, error) {
-	rows := make(map[string]string, len(m.Workloads))
-	for _, name := range m.Workloads {
-		w, err := raccd.NewWorkload(name, m.Scale)
-		if err != nil {
-			return nil, err
-		}
-		rows[name] = w.Name()
-	}
-	return rows, nil
+	return report.NewSet(results), nil
 }

@@ -31,10 +31,10 @@ const TraceHeader = "X-Raccd-Trace"
 // concurrent runs accumulate, so their sum can exceed wall time (see
 // docs/OBSERVABILITY.md).
 const (
-	PhaseQueueWait = "queue_wait" // accepted → started, plus in-flight slot waits
+	PhaseQueueWait = "queue_wait" // accepted → started, plus each run's start → slot
 	PhaseBuild     = "build"      // workload construction for an executed run
 	PhaseExec      = "exec"       // inside the simulator proper
-	PhaseStore     = "store"      // result-store get/put and coalesced waits
+	PhaseStore     = "store"      // result-store get/put, coalesced waits, until committed
 	PhaseFabric    = "fabric_rtt" // coordinator-side remote round trip
 )
 

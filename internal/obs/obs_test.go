@@ -78,8 +78,40 @@ func TestPhasesNilSafe(t *testing.T) {
 	var p *Phases
 	p.Add("x", time.Second) // must not panic
 	p.Start("x")()
-	if p.Seconds() != nil || p.Durations() != nil {
+	p.Begin(time.Now(), time.Now())
+	p.Waited()
+	p.Ran()
+	p.Committed(time.Now())
+	p.Each(func(string, time.Duration) { t.Fatal("nil phases have no buckets") })
+	if p.Seconds() != nil {
 		t.Fatal("nil phases should snapshot to nil")
+	}
+}
+
+// TestPhasesCountFromBeginAndRan: queue_wait runs from the job's
+// creation to Begin, and each Waited adds the time since Begin; store
+// gains the time from the latest Ran to Committed. Waited before Begin
+// and Committed before Ran add nothing.
+func TestPhasesCountFromBeginAndRan(t *testing.T) {
+	p := &Phases{}
+	p.Waited()
+	p.Committed(time.Now())
+	if s := p.Seconds(); s != nil {
+		t.Fatalf("phases before Begin and Ran = %v, want none", s)
+	}
+	began := time.Now()
+	p.Begin(began.Add(-time.Second), began)
+	time.Sleep(2 * time.Millisecond)
+	p.Waited()
+	p.Ran()
+	ran := time.Now()
+	p.Committed(ran.Add(time.Second))
+	s := p.Seconds()
+	if w := s[PhaseQueueWait]; w < 1.002 || w > 1.5 {
+		t.Fatalf("queue_wait = %vs, want 1s before Begin plus the 2ms after it", w)
+	}
+	if st := s[PhaseStore]; st < 1 || st > 1.5 {
+		t.Fatalf("store = %vs, want the 1s from Ran to Committed", st)
 	}
 }
 
@@ -101,14 +133,10 @@ func TestPhasesAccumulate(t *testing.T) {
 		t.Fatalf("store = %v, want 0.05", got)
 	}
 
-	d := p.Durations()
-	if d["exec"] != 500*time.Millisecond {
-		t.Fatalf("Durations exec = %v", d["exec"])
-	}
 	// Snapshots are copies: mutating one must not affect the source.
-	d["exec"] = 0
-	if p.Durations()["exec"] != 500*time.Millisecond {
-		t.Fatal("Durations returned a live reference")
+	s["exec"] = 0
+	if p.Seconds()["exec"] != 0.5 {
+		t.Fatal("Seconds returned a live reference")
 	}
 }
 
@@ -117,7 +145,7 @@ func TestPhasesStart(t *testing.T) {
 	stop := p.Start("exec")
 	time.Sleep(5 * time.Millisecond)
 	stop()
-	if got := p.Durations()["exec"]; got < 5*time.Millisecond {
+	if got := p.Seconds()["exec"]; got < 0.005 {
 		t.Fatalf("timed phase too short: %v", got)
 	}
 }
@@ -135,7 +163,9 @@ func TestPhasesConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := p.Durations()["exec"]; got != 8000*time.Microsecond {
+	var got time.Duration
+	p.Each(func(name string, d time.Duration) { got += d })
+	if got != 8000*time.Microsecond {
 		t.Fatalf("lost updates: %v", got)
 	}
 }

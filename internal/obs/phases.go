@@ -20,7 +20,14 @@ type Phases struct {
 	// set marks the buckets that were ever added to, so a phase timed
 	// at zero is still reported while an untouched one is not.
 	set [len(phaseNames)]atomic.Bool
+	// began is when the job started running and ran when a run's result
+	// last came back, in ns since origin (0: not yet). Integers keep Ran
+	// from allocating, and so from a GC assist right after a simulation.
+	began, ran atomic.Int64
 }
+
+// origin anchors the instants Phases keeps.
+var origin = time.Now()
 
 // bucket maps a canonical phase name to its index.
 func bucket(name string) int {
@@ -54,28 +61,57 @@ func (p *Phases) Start(name string) func() {
 	return func() { p.Add(name, time.Since(t0)) }
 }
 
-// each calls fn for every bucket that was added to.
-func (p *Phases) each(fn func(name string, d time.Duration)) {
+// Begin records that the job, accepted at created, started running at
+// now: the time in between is queue_wait, and so is each run's wait
+// from now until it holds its in-flight slot (Waited).
+func (p *Phases) Begin(created, now time.Time) {
+	if p != nil {
+		p.began.Store(int64(now.Sub(origin)))
+		p.Add(PhaseQueueWait, now.Sub(created))
+	}
+}
+
+// Waited adds the time since Begin to queue_wait; a run calls it once it
+// holds its slot, so the hand-offs on the way there count as waiting.
+func (p *Phases) Waited() {
+	if p != nil {
+		p.addSince(PhaseQueueWait, &p.began, time.Now())
+	}
+}
+
+// Ran records that a run's result came back: the time from the latest
+// Ran until the job commits its result (Committed) is store.
+func (p *Phases) Ran() {
+	if p != nil {
+		p.ran.Store(int64(time.Since(origin)))
+	}
+}
+
+// Committed adds the time from the latest Ran to now to store.
+func (p *Phases) Committed(now time.Time) {
+	if p != nil {
+		p.addSince(PhaseStore, &p.ran, now)
+	}
+}
+
+// addSince adds the time from instant at to now to the named bucket,
+// unless at is not yet set.
+func (p *Phases) addSince(name string, at *atomic.Int64, now time.Time) {
+	if t := at.Load(); t != 0 {
+		p.Add(name, now.Sub(origin)-time.Duration(t))
+	}
+}
+
+// Each calls fn for every bucket that was added to, in bucket order.
+func (p *Phases) Each(fn func(name string, d time.Duration)) {
+	if p == nil {
+		return
+	}
 	for i, name := range phaseNames {
 		if p.set[i].Load() {
 			fn(name, time.Duration(p.ns[i].Load()))
 		}
 	}
-}
-
-// Durations returns a snapshot of the buckets, nil when empty.
-func (p *Phases) Durations() map[string]time.Duration {
-	if p == nil {
-		return nil
-	}
-	var out map[string]time.Duration
-	p.each(func(name string, d time.Duration) {
-		if out == nil {
-			out = make(map[string]time.Duration, len(phaseNames))
-		}
-		out[name] = d
-	})
-	return out
 }
 
 // Seconds returns the buckets converted to seconds — the wire form
@@ -85,7 +121,7 @@ func (p *Phases) Seconds() map[string]float64 {
 		return nil
 	}
 	var out map[string]float64
-	p.each(func(name string, d time.Duration) {
+	p.Each(func(name string, d time.Duration) {
 		if out == nil {
 			out = make(map[string]float64, len(phaseNames))
 		}

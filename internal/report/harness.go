@@ -117,7 +117,7 @@ func (m Matrix) simulate(ctx context.Context, ids *workloads.Identities, k sim.K
 	cfg := k.Resolve()
 	var key resultstore.Key
 	if m.Cache != nil {
-		id, err := ids.Identity(workload, m.Scale)
+		id, _, err := ids.Resolve(workload, m.Scale)
 		if err != nil {
 			return sim.Result{}, err
 		}

@@ -83,8 +83,7 @@ func (s *Set) Get(w string, sys coherence.Mode, ratio int, adr bool) (sim.Result
 func (s *Set) Workloads() []string { return s.workloads }
 
 // Results returns every result in the Set in CSV row order (sorted by
-// workload, system, ratio, ADR) — the deterministic enumeration the
-// fabric coordinator merges per-run results through.
+// workload, system, ratio, ADR).
 func (s *Set) Results() []sim.Result {
 	keys := s.sortedKeys()
 	out := make([]sim.Result, len(keys))

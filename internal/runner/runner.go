@@ -5,9 +5,10 @@
 // worker finishes first. It is the one fan-out path for runs: sweep
 // matrices (internal/report), the fabric coordinator's batches and
 // raccdsim's benchmark lists all run on it, and cmd/sweep and
-// cmd/raccdsim expose the worker count as a -jobs flag. One worker is
-// the same pool with one goroutine, so cancellation and error
-// reporting do not depend on the worker count.
+// cmd/raccdsim expose the worker count as a -jobs flag. The calling
+// goroutine is one of the workers, so a single worker, or a single job,
+// runs on the caller's goroutine with no hand-off; cancellation and
+// error reporting do not depend on the worker count.
 package runner
 
 import (
@@ -59,55 +60,45 @@ func Run[T any](ctx context.Context, workers, n int,
 		results = make([]T, n)
 		done    = make([]bool, n)
 		errs    = make([]error, n)
+		issued  int // next index to hand out
 		next    int // lowest index not yet committed
 		failed  = n // lowest index that has failed
 	)
 
-	indices := make(chan int)
-	go func() {
-		defer close(indices)
-		for i := 0; i < n; i++ {
-			select {
-			case indices <- i:
-			case <-ctx.Done():
-				return
+	// worker takes indices in order and runs their jobs until every
+	// index is taken or the pool is cancelled.
+	worker := func() {
+		mu.Lock()
+		defer mu.Unlock()
+		for issued < n && ctx.Err() == nil {
+			i := issued
+			issued++
+			mu.Unlock()
+			v, err := work(ctx, i)
+			mu.Lock()
+			if err != nil {
+				errs[i], failed = err, min(failed, i)
+				cancel()
+				continue
+			}
+			results[i], done[i] = v, true
+			for ; next < failed && done[next]; next++ {
+				commit(next, results[next])
+				var zero T
+				results[next], done[next] = zero, false
 			}
 		}
-	}()
+	}
 
 	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for i := range indices {
-				if ctx.Err() != nil {
-					continue // drain after cancellation
-				}
-				v, err := work(ctx, i)
-				mu.Lock()
-				if err != nil {
-					errs[i] = err
-					if i < failed {
-						failed = i
-					}
-					mu.Unlock()
-					cancel()
-					continue
-				}
-				results[i] = v
-				done[i] = true
-				for next < n && next < failed && done[next] {
-					commit(next, results[next])
-					done[next] = false
-					var zero T
-					results[next] = zero
-					next++
-				}
-				mu.Unlock()
-			}
+			worker()
 		}()
 	}
+	worker()
 	wg.Wait()
 
 	return firstError(errs, ctx)

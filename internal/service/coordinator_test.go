@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -17,6 +18,8 @@ import (
 	"raccd/internal/resultstore"
 	"raccd/internal/service/exec"
 	"raccd/internal/service/fabric"
+	"raccd/internal/tracefile"
+	"raccd/internal/workloads"
 )
 
 // startFabric brings up n worker daemons plus one coordinator over
@@ -501,4 +504,139 @@ func TestSweepProgressMatchesBatch(t *testing.T) {
 	if adr != 4 {
 		t.Fatalf("%d lines carry +ADR, want 4 (PT and RaCCD on MD5 and Jacobi)", adr)
 	}
+}
+
+// batchThrough submits batch through c and returns its progress lines
+// and CSV.
+func batchThrough(t *testing.T, c *client.Client, batch client.BatchRequest) ([]string, string) {
+	t.Helper()
+	lines := progressLines(t, c, func(ctx context.Context) (client.Status, error) { return c.SubmitBatch(ctx, batch) })
+	jobs, err := c.Jobs(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	csv, err := c.Result(context.Background(), jobs[len(jobs)-1].ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lines, csv
+}
+
+// TestCoordinatorMixedBatchMatchesPlainDaemon: a batch that mixes
+// bundled, synth: and trace: runs, two of which share a CSV row key (one
+// workload, system, ratio and ADR at two scales) but home on different
+// workers, returns through a two-worker coordinator exactly the CSV and
+// the progress lines, in order, that a plain daemon returns for it —
+// of the two runs that share a row, the later one's. Each worker runs
+// its share as one job.
+func TestCoordinatorMixedBatchMatchesPlainDaemon(t *testing.T) {
+	c, workers, coord := startFabric(t, 2, Options{})
+	path := filepath.Join(t.TempDir(), "knn.rtf")
+	tr, err := tracefile.Record(workloads.MustGet("KNN", 0.05), tracefile.Fingerprint("KNN@0.05"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tracefile.WriteFile(path, tr); err != nil {
+		t.Fatal(err)
+	}
+	runs := []client.RunRequest{
+		{Workload: "MD5", Scale: 0.05, System: "PT"},
+		{Workload: "synth:chain/depth=4/seed=2", Scale: 0.05, System: "RaCCD"},
+		{Workload: "trace:" + path, System: "FullCoh"},
+		{Workload: "MD5", Scale: 0.05, System: "RaCCD", DirRatio: 16},
+		{Workload: "trace:" + path, System: "RaCCD", DirRatio: 16, ADR: true},
+		{Workload: "synth:chain/depth=4/seed=2", Scale: 0.1, System: "PT"},
+	}
+	// Add Jacobi PT 1:1 at the first scale and at the first later scale
+	// that homes on the other worker.
+	home := func(req client.RunRequest) int {
+		t.Helper()
+		spec, err := fabric.NewSpec(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return coord.coord.Pick(spec.Key())
+	}
+	first := client.RunRequest{Workload: "Jacobi", Scale: 0.05, System: "PT"}
+	runs = append(runs[:2], append([]client.RunRequest{first}, runs[2:]...)...)
+	for scale := 0.06; ; scale += 0.01 {
+		second := client.RunRequest{Workload: "Jacobi", Scale: scale, System: "PT"}
+		if home(second) != home(first) {
+			runs = append(runs, second)
+			break
+		}
+	}
+	batch := client.BatchRequest{Runs: runs}
+
+	gotLines, gotCSV := batchThrough(t, c, batch)
+	_, plain := newTestServer(t, Options{})
+	wantLines, wantCSV := batchThrough(t, plain, batch)
+	if gotCSV != wantCSV {
+		t.Fatalf("coordinator CSV differs from a plain daemon's:\n%s\nwant:\n%s", gotCSV, wantCSV)
+	}
+	if strings.Join(gotLines, "\n") != strings.Join(wantLines, "\n") {
+		t.Fatalf("coordinator progress differs from a plain daemon's:\n%s\nwant:\n%s",
+			strings.Join(gotLines, "\n"), strings.Join(wantLines, "\n"))
+	}
+	if strings.Count(gotCSV, "\nJacobi,PT,1,") != 1 || len(gotLines) != len(runs) {
+		t.Fatalf("%d progress lines for %d runs; CSV:\n%s", len(gotLines), len(runs), gotCSV)
+	}
+	for i, ws := range workers {
+		if n := ws.Stats().Jobs["done"]; n != 1 {
+			t.Fatalf("worker %d ran %d jobs, want 1", i, n)
+		}
+	}
+}
+
+// TestCoordinatorPanickingRunFailsBatch: a coordinator batch in which
+// one run panics fails with that run's sim: error as soon as its worker
+// reports it, and the other worker's dispatch is cancelled rather than
+// awaited: that worker's job is still running when the batch has
+// failed, and the cancellation does not count as its error.
+func TestCoordinatorPanickingRunFailsBatch(t *testing.T) {
+	c, workers, coord := startFabric(t, 2, Options{})
+	ctx := context.Background()
+	// 3000 valid tasks before the bad one give the other worker's job
+	// time to start before the batch fails.
+	bad := client.RunRequest{Workload: "trace:" + writeMisannotatedTrace(t, 3000), System: "PT"}
+	badSpec, err := fabric.NewSpec(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	badHome := coord.coord.Pick(badSpec.Key())
+	var long client.RunRequest
+	for _, ratio := range []int{1, 2, 4, 8, 16, 64, 256} {
+		long = client.RunRequest{Workload: "Cholesky", Scale: 3, System: "RaCCD", DirRatio: ratio}
+		spec, err := fabric.NewSpec(long)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if coord.coord.Pick(spec.Key()) != badHome {
+			break
+		}
+	}
+	st, err := c.SubmitBatch(ctx, client.BatchRequest{Runs: []client.RunRequest{long, bad}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fin, err := c.Wait(ctx, st.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "stores 0x20000000 outside its declared out/inout ranges"
+	if fin.State != "failed" || !strings.Contains(fin.Error, "sim: misannotated/") || !strings.Contains(fin.Error, want) {
+		t.Fatalf("batch ended %s (%q), want failed with the run's panic as a sim error", fin.State, fin.Error)
+	}
+	other := workers[1-badHome]
+	if n := other.Stats().Jobs["running"]; n != 1 {
+		t.Fatalf("the other worker has %d running jobs once the batch failed, want its long job still running", n)
+	}
+	sts := coord.coord.BackendStatuses()
+	if sts[badHome].Requests != 1 || sts[badHome].Errors != 1 || sts[1-badHome].Requests != 1 || sts[1-badHome].Errors != 0 {
+		t.Fatalf("backend counters %+v, want one run each and one error on worker %d only", sts, badHome)
+	}
+	// Stop the long run instead of draining it.
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	other.Shutdown(cancelled)
 }

@@ -3,9 +3,9 @@
 // use (sim.Knobs, resolved into a checked sim.Config) and into sweep
 // matrices, and runs one simulation at a time through report.Simulate —
 // the same run body an in-process sweep uses — against the result store
-// for global dedupe, returning exactly the CSV internal/report produces.
-// Fan-out across runs belongs to the fabric coordinator above it, which
-// calls Run once per run through its in-process Local backend. exec
+// for global dedupe, returning its sim.Result. Fan-out across runs
+// belongs to the fabric above it: its in-process Local backend runs a
+// batch's specs through runner.Run and calls Run once per spec. exec
 // owns the daemon's execution counters (per-scheme run-latency
 // histograms, per-phase job times, prefetch totals) so the stats and
 // /metrics endpoints are a pure read.
@@ -123,24 +123,26 @@ func BuildMatrix(r client.SweepRequest) (report.Matrix, error) {
 // through the result store (report.Simulate): the run is recalled when
 // key is cached and computed at most once per key otherwise. key must
 // be resultstore.KeyOf of cfg's fingerprint and the workload's
-// identity. It returns the run's report CSV (header + one row) and
-// whether the result came from the cache. ctx aborts an in-flight
-// simulation at its next task dispatch.
-func (e *Executor) Run(ctx context.Context, cfg sim.Config, key resultstore.Key, workload string, scale float64) (csv string, res sim.Result, cached bool, err error) {
+// identity. cached reports a result recalled rather than simulated. ctx
+// aborts an in-flight simulation at its next task dispatch.
+func (e *Executor) Run(ctx context.Context, cfg sim.Config, key resultstore.Key, workload string, scale float64) (res sim.Result, cached bool, err error) {
 	start := time.Now()
 	res, cached, build, run, err := report.Simulate(ctx, e.st, key, workload, scale, cfg)
-	// What Simulate spent neither building nor simulating is the store
+	// What the call spent neither building nor simulating is the store
 	// phase: get/put IO, hashing, and — for a coalesced caller — waiting
-	// on another goroutine's identical run. Only a call that built the
-	// workload reports a build phase.
+	// on another goroutine's identical run. It is taken on return, so
+	// the bookkeeping below, which allocates, falls in a phase too. Only
+	// a call that built the workload reports a build phase.
 	ph := obs.PhasesFrom(ctx)
-	if build > 0 {
-		ph.Add(obs.PhaseBuild, build)
-	}
-	ph.Add(obs.PhaseExec, run)
-	ph.Add(obs.PhaseStore, time.Since(start)-build-run)
+	defer func() {
+		if build > 0 {
+			ph.Add(obs.PhaseBuild, build)
+		}
+		ph.Add(obs.PhaseExec, run)
+		ph.Add(obs.PhaseStore, time.Since(start)-build-run)
+	}()
 	if err != nil {
-		return "", sim.Result{}, false, err
+		return sim.Result{}, false, err
 	}
 	if !cached {
 		e.metrics.Observe(cfg.System, run, res)
@@ -149,5 +151,5 @@ func (e *Executor) Run(ctx context.Context, cfg sim.Config, key resultstore.Key,
 		"workload", workload, "system", cfg.System.String(), "ratio", cfg.DirRatio,
 		"cycles", res.Cycles, "cached", cached,
 		"sim_ms", run.Milliseconds())
-	return report.NewSet([]sim.Result{res}).CSV(), res, cached, nil
+	return res, cached, nil
 }

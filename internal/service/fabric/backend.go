@@ -1,37 +1,38 @@
 // Package fabric is the distribution layer of the simulation service
 // and the only way raccdd executes runs: a transport seam (Backend)
-// over which one run executes either in-process (Local, wrapping the
-// exec layer) or on another raccdd daemon (Remote, wrapping
-// raccd/client), and a Coordinator that partitions runs, batches and
-// expanded sweeps across backends by rendezvous-hashing each run's
-// (configuration fingerprint, workload identity) pair. The coordinator
-// keeps at most a fixed number of runs in flight on each backend,
-// shared by every job it serves.
+// over which a batch of runs executes either in-process (Local, wrapping
+// the exec layer) or on another raccdd daemon as one job (Remote,
+// wrapping raccd/client), and a Coordinator that partitions every job's
+// runs across backends by rendezvous-hashing each run's (configuration
+// fingerprint, workload identity) pair, one batch per backend.
 //
 // The hashing is what makes dedupe global without any shared state:
 // identical runs — no matter which client submitted them, or when —
 // always land on the same backend, so that backend's content-addressed
-// store single-flights them down to one simulation. Results come back
-// as per-run report CSV and are merged in deterministic order, so a
-// distributed sweep reproduces a local one byte-identically.
+// store single-flights them down to one simulation. Results and
+// progress are merged in spec order, so a distributed sweep reproduces
+// a local one byte-identically.
 package fabric
 
 import (
 	"context"
 	"fmt"
+	"runtime"
 
 	"raccd/client"
+	"raccd/internal/obs"
 	"raccd/internal/report"
 	"raccd/internal/resultstore"
+	"raccd/internal/runner"
 	"raccd/internal/service/exec"
 	"raccd/internal/sim"
 	"raccd/internal/workloads"
 )
 
 // Spec is one run of a batch: the wire request to forward, the checked
-// configuration it materializes to, and the identity pair the
-// coordinator partitions and dedupes by. Build with NewSpec so the pair
-// is always the one the result store keys by.
+// configuration it materializes to, the identity pair the coordinator
+// partitions and dedupes by, and the name its result row carries. Build
+// with NewSpec so the pair is always the one the result store keys by.
 type Spec struct {
 	// Request is the validated wire request: Remote forwards it, Local
 	// reads its workload and scale.
@@ -44,6 +45,9 @@ type Spec struct {
 	// Identity is workloads.Identity of the request's workload at its
 	// resolved scale.
 	Identity string
+	// Row is the workload name of the run's result row: a benchmark's
+	// name, a synth: spec's canonical spec, or a trace header's name.
+	Row string
 }
 
 // Key is the identity the run is partitioned and cached by — the same
@@ -74,21 +78,21 @@ func NewSpecs(reqs []client.RunRequest) ([]Spec, error) {
 	return specs, nil
 }
 
-// newSpec is NewSpec with the workload identity taken from, or added to,
-// ids.
+// newSpec is NewSpec with the workload identity and row name taken
+// from, or added to, ids.
 func newSpec(req client.RunRequest, ids *workloads.Identities) (Spec, error) {
 	cfg, err := exec.BuildConfig(req, "", 0)
 	if err != nil {
 		return Spec{}, err
 	}
-	id, err := ids.Identity(req.Workload, exec.Scale(req))
+	id, row, err := ids.Resolve(req.Workload, exec.Scale(req))
 	if err != nil {
 		return Spec{}, err
 	}
-	return Spec{Request: req, Config: cfg, Fingerprint: cfg.Fingerprint(), Identity: id}, nil
+	return Spec{Request: req, Config: cfg, Fingerprint: cfg.Fingerprint(), Identity: id, Row: row}, nil
 }
 
-// Backend executes one run of a batch somewhere — in this process or
+// Backend executes a batch of runs somewhere — in this process or
 // across the network. Implementations must be safe for concurrent Run
 // calls.
 type Backend interface {
@@ -96,35 +100,71 @@ type Backend interface {
 	// it must be stable across restarts for cache locality to persist
 	// (Remote uses the worker URL).
 	Name() string
-	// Run executes the spec and returns its single-run report CSV
-	// (header + one row) plus the per-run progress lines the execution
-	// emitted, for the coordinator to merge into its own event log.
-	Run(ctx context.Context, spec Spec) (csv string, progress []string, err error)
+	// Run executes the specs and returns one result per spec, in spec
+	// order. It calls progress(i, line) once per spec with the run's
+	// progress line, in spec order, as the runs complete.
+	Run(ctx context.Context, specs []Spec, progress func(i int, line string)) ([]sim.Result, error)
 }
 
 // Local executes runs in-process through the exec layer — the backend a
-// single daemon is, and the degenerate one-node fabric. Byte-identical
-// to the daemon's own run jobs by construction: it is the same code.
+// single daemon is, and the degenerate one-node fabric. Each simulation
+// holds one of its slots, shared by every Run call.
 type Local struct {
-	name string
-	ex   *exec.Executor
+	name  string
+	slots chan struct{}
+	// run is the executor's Run; tests stand in for the simulation.
+	run func(ctx context.Context, cfg sim.Config, key resultstore.Key, workload string, scale float64) (sim.Result, bool, error)
 }
 
-// NewLocal wraps an executor as a Backend.
-func NewLocal(name string, ex *exec.Executor) *Local {
-	return &Local{name: name, ex: ex}
+// NewLocal wraps an executor as a Backend that runs at most inFlight
+// simulations at once (<= 0 selects one per CPU).
+func NewLocal(name string, ex *exec.Executor, inFlight int) *Local {
+	if inFlight <= 0 {
+		inFlight = runtime.GOMAXPROCS(0)
+	}
+	return &Local{name: name, slots: make(chan struct{}, inFlight), run: ex.Run}
 }
 
 // Name implements Backend.
 func (l *Local) Name() string { return l.name }
 
-// Run implements Backend: execute the spec's checked configuration
-// through the store, under the key NewSpec derived.
-func (l *Local) Run(ctx context.Context, spec Spec) (string, []string, error) {
-	key := resultstore.KeyOf(spec.Fingerprint, spec.Identity)
-	csv, res, cached, err := l.ex.Run(ctx, spec.Config, key, spec.Request.Workload, exec.Scale(spec.Request))
+// localRun is one finished run of a Local batch.
+type localRun struct {
+	res    sim.Result
+	cached bool
+}
+
+// Run implements Backend: the specs fan out through runner.Run, each
+// executed through the store under the key NewSpec derived once it
+// holds one of l's slots. It tells its job's phases when it holds the
+// slot (obs.Phases.Waited) and when its result is back (Ran).
+func (l *Local) Run(ctx context.Context, specs []Spec, progress func(i int, line string)) ([]sim.Result, error) {
+	ph := obs.PhasesFrom(ctx)
+	out := make([]sim.Result, len(specs))
+	err := runner.Run(ctx, cap(l.slots), len(specs),
+		func(ctx context.Context, i int) (localRun, error) {
+			s := specs[i]
+			key := resultstore.KeyOf(s.Fingerprint, s.Identity)
+			select {
+			case l.slots <- struct{}{}:
+			case <-ctx.Done():
+				return localRun{}, ctx.Err()
+			}
+			ph.Waited()
+			defer func() { <-l.slots }()
+			res, cached, err := l.run(ctx, s.Config, key, s.Request.Workload, exec.Scale(s.Request))
+			if err != nil {
+				return localRun{}, fmt.Errorf("fabric: run %d (%s): %w", i, s.Key(), err)
+			}
+			ph.Ran()
+			return localRun{res: res, cached: cached}, nil
+		},
+		func(i int, r localRun) {
+			out[i] = r.res
+			progress(i, report.KeyOf(r.res).ProgressLine(r.res.Cycles, r.cached))
+		})
 	if err != nil {
-		return "", nil, err
+		return nil, err
 	}
-	return csv, []string{report.KeyOf(res).ProgressLine(res.Cycles, cached)}, nil
+	return out, nil
 }

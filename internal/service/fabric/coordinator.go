@@ -5,22 +5,21 @@ import (
 	"fmt"
 	"hash/fnv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"raccd/client"
-	"raccd/internal/obs"
 	"raccd/internal/report"
 	"raccd/internal/runner"
 	"raccd/internal/sim"
 	"raccd/internal/workloads"
 )
 
-// DefaultInFlight is the per-backend cap on concurrently dispatched
-// runs when the coordinator is not told otherwise — the default for
-// each remote worker: enough to keep a small worker's in-process slots
-// (one per CPU) busy with runs waiting behind them, small enough not
-// to flood its admission queue.
+// DefaultInFlight is how many worker jobs a Remote keeps outstanding by
+// default: enough for several coordinator jobs to share a worker, small
+// enough not to flood its admission queue. The worker's own slots bound
+// each job's simulations.
 const DefaultInFlight = 4
 
 // PickName returns the index of the name that wins the rendezvous hash
@@ -44,17 +43,13 @@ func PickName(key string, names []string) int {
 }
 
 // SpecsFromMatrix expands a sweep matrix into the fabric's run list:
-// one spec per matrix cell, in matrix order, carrying the resolved
-// scale, machine and core timing so every backend executes exactly what
-// the caller asked for. Each cell is checked as NewSpec checks it, so
-// the first invalid one (unknown workload, unrealizable ratio) is the
-// error, and each workload's identity is resolved once for all its
-// cells. machineName is the wire-level machine selector (the -machine
-// flag / SweepRequest.Machine), passed through verbatim because it was
-// already parsed into m.Machine. The specs fingerprint identically to the cells
-// of an in-process report.Matrix sweep (both resolve through
-// sim.Knobs), so a served sweep hits the same cache entries
-// `sweep -cache` fills.
+// one spec per matrix cell, in matrix order, carrying the scale, machine
+// and core timing. Each cell is checked as NewSpec checks it, and each
+// workload resolved once for all its cells. machineName is the
+// wire-level machine selector (SweepRequest.Machine), passed on verbatim
+// since m.Machine holds it parsed. The specs fingerprint as the cells of
+// an in-process report.Matrix sweep do (both resolve through sim.Knobs),
+// so a served sweep hits the cache entries `sweep -cache` fills.
 func SpecsFromMatrix(m report.Matrix, machineName string) ([]Spec, error) {
 	keys := m.Keys()
 	specs := make([]Spec, 0, len(keys))
@@ -83,15 +78,11 @@ func SpecsFromMatrix(m report.Matrix, machineName string) ([]Spec, error) {
 
 // Coordinator fans runs out across backends, each run routed by
 // rendezvous hash so identical runs dedupe on their home backend, and
-// merges results and progress deterministically. Every run, single or
-// part of a batch, holds one of its backend's in-flight slots while it
-// executes.
+// merges results and progress deterministically.
 type Coordinator struct {
 	backends []Backend
 	names    []string
-	// sems holds each backend's in-flight slots.
-	sems  []chan struct{}
-	stats []backendStats
+	stats    []backendStats
 }
 
 // backendStats is one backend's health and traffic counters, exported
@@ -121,20 +112,14 @@ type HealthChecker interface {
 	CheckHealth(ctx context.Context) error
 }
 
-// NewCoordinator builds a coordinator over backends, keeping at most
-// perBackend runs in flight on each across all callers (<= 0 selects
-// DefaultInFlight).
-func NewCoordinator(backends []Backend, perBackend int) (*Coordinator, error) {
+// NewCoordinator builds a coordinator over backends.
+func NewCoordinator(backends []Backend) (*Coordinator, error) {
 	if len(backends) == 0 {
 		return nil, fmt.Errorf("fabric: no backends")
-	}
-	if perBackend <= 0 {
-		perBackend = DefaultInFlight
 	}
 	c := &Coordinator{
 		backends: backends,
 		names:    make([]string, len(backends)),
-		sems:     make([]chan struct{}, len(backends)),
 		stats:    make([]backendStats, len(backends)),
 	}
 	seen := make(map[string]bool, len(backends))
@@ -148,40 +133,9 @@ func NewCoordinator(backends []Backend, perBackend int) (*Coordinator, error) {
 		}
 		seen[name] = true
 		c.names[i] = name
-		c.sems[i] = make(chan struct{}, perBackend)
 		c.stats[i].up.Store(true) // presumed healthy until a probe says otherwise
 	}
 	return c, nil
-}
-
-// RunSpec executes one spec on its rendezvous backend, counting the
-// request and its outcome in the backend's stats. It is the single-run
-// counterpart of Execute.
-func (c *Coordinator) RunSpec(ctx context.Context, spec Spec) (csv string, progress []string, err error) {
-	return c.runOn(ctx, c.Pick(spec.Key()), spec)
-}
-
-// runOn dispatches spec to backend bi once one of the backend's
-// in-flight slots is free, and tallies the outcome. The wait for the
-// slot is queueing, so it counts toward the job's queue_wait phase. The
-// request counts as soon as it is made; context cancellation, while
-// waiting for a slot or running, is not the backend's fault and leaves
-// its error count alone.
-func (c *Coordinator) runOn(ctx context.Context, bi int, spec Spec) (string, []string, error) {
-	c.stats[bi].requests.Add(1)
-	waited := obs.PhasesFrom(ctx).Start(obs.PhaseQueueWait)
-	select {
-	case c.sems[bi] <- struct{}{}:
-	case <-ctx.Done():
-		return "", nil, ctx.Err()
-	}
-	waited()
-	defer func() { <-c.sems[bi] }()
-	csv, lines, err := c.backends[bi].Run(ctx, spec)
-	if err != nil && ctx.Err() == nil {
-		c.stats[bi].errors.Add(1)
-	}
-	return csv, lines, err
 }
 
 // BackendStatuses snapshots every backend's health and counters in
@@ -227,60 +181,59 @@ func (c *Coordinator) Probe(ctx context.Context) []BackendStatus {
 // Pick returns the backend index the rendezvous hash homes key on.
 func (c *Coordinator) Pick(key string) int { return PickName(key, c.names) }
 
-// runOutcome carries one dispatched run back to the in-order committer.
-type runOutcome struct {
-	res   sim.Result
-	lines []string
-}
-
-// Execute runs every spec across the backends and returns the merged
-// result set. Runs dispatch concurrently (bounded per backend by the
-// in-flight slots runOn takes), but
-// results and progress commit strictly in spec order via the same
-// in-order pool local sweeps use — so the progress stream is
-// deterministic and lossless, and Set.CSV() of the returned set is
-// byte-identical to a local sweep of the same runs. The first failed
-// run cancels the rest and is returned.
+// Execute runs every spec across the backends, each home's specs as one
+// batch, and returns the merged set. Progress lines commit in spec order
+// as they arrive and results join the set in spec order (of runs that
+// share a row key the last is kept), so Set.CSV() is byte-identical to
+// a local sweep's. A dispatch counts its runs as its backend's requests,
+// and as errors if it fails other than by cancellation. The first
+// failed dispatch cancels the others and its error is returned.
 func (c *Coordinator) Execute(ctx context.Context, specs []Spec, progress func(line string)) (*report.Set, error) {
-	set := report.NewSet(nil)
-	workers := len(c.backends) * cap(c.sems[0])
-	err := runner.Run(ctx, workers, len(specs),
-		func(ctx context.Context, i int) (runOutcome, error) {
-			spec := specs[i]
-			bi := c.Pick(spec.Key())
-			csv, lines, err := c.runOn(ctx, bi, spec)
-			if err != nil {
-				return runOutcome{}, fmt.Errorf("fabric: run %d (%s): %w", i, spec.Key(), err)
-			}
-			res, err := parseRunCSV(csv)
-			if err != nil {
-				return runOutcome{}, fmt.Errorf("fabric: run %d from %s: %w", i, c.names[bi], err)
-			}
-			return runOutcome{res: res, lines: lines}, nil
-		},
-		func(i int, out runOutcome) {
-			set.Add(out.res)
+	// groups[bi] lists the specs homed on backend bi.
+	groups := make([][]int, len(c.backends))
+	for i, s := range specs {
+		bi := c.Pick(s.Key())
+		groups[bi] = append(groups[bi], i)
+	}
+
+	// commit takes spec i's line and commits the lines ready in order.
+	var mu sync.Mutex
+	lines, next := make([]string, len(specs)), 0
+	commit := func(i int, line string) {
+		mu.Lock()
+		defer mu.Unlock()
+		for lines[i] = line; next < len(specs) && lines[next] != ""; next++ {
 			if progress != nil {
-				for _, line := range out.lines {
-					progress(line)
-				}
+				progress(lines[next])
+			}
+		}
+	}
+
+	results := make([]sim.Result, len(specs))
+	err := runner.Run(ctx, len(groups), len(groups),
+		func(ctx context.Context, bi int) ([]sim.Result, error) {
+			idx := groups[bi]
+			if len(idx) == 0 {
+				return nil, nil
+			}
+			batch := make([]Spec, len(idx))
+			for k, i := range idx {
+				batch[k] = specs[i]
+			}
+			c.stats[bi].requests.Add(uint64(len(idx)))
+			res, err := c.backends[bi].Run(ctx, batch, func(k int, line string) { commit(idx[k], line) })
+			if err != nil && ctx.Err() == nil {
+				c.stats[bi].errors.Add(uint64(len(idx)))
+			}
+			return res, err
+		},
+		func(bi int, res []sim.Result) {
+			for k, i := range groups[bi] {
+				results[i] = res[k]
 			}
 		})
 	if err != nil {
 		return nil, err
 	}
-	return set, nil
-}
-
-// parseRunCSV decodes a backend's single-run CSV (header + one row).
-func parseRunCSV(csv string) (sim.Result, error) {
-	set, err := report.ParseCSV(strings.NewReader(csv))
-	if err != nil {
-		return sim.Result{}, err
-	}
-	results := set.Results()
-	if len(results) != 1 {
-		return sim.Result{}, fmt.Errorf("single-run CSV carried %d rows", len(results))
-	}
-	return results[0], nil
+	return report.NewSet(results), nil
 }

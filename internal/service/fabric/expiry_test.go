@@ -5,13 +5,13 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"raccd/client"
-	"raccd/internal/resultstore"
 	"raccd/internal/service"
 	"raccd/internal/service/fabric"
 	"raccd/internal/service/queue"
@@ -37,21 +37,9 @@ func (p *evictingProxy) accepted() int {
 
 func startEvictingProxy(t *testing.T, warm client.RunRequest) *evictingProxy {
 	t.Helper()
-	store, err := resultstore.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws, err := service.New(service.Options{Store: store, QueueDepth: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ws := startWorker(t, service.Options{QueueDepth: 1})
 	worker := httptest.NewServer(ws.Handler())
 	t.Cleanup(worker.Close)
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		ws.Shutdown(ctx)
-	})
 	// A finished job holds the worker's one place until it leaves the
 	// queue, so the pushes retry 503s.
 	push := client.New(worker.URL, client.WithRetry(50, time.Millisecond))
@@ -106,8 +94,8 @@ func TestCoordinatorSurvivesWorkerExpiry(t *testing.T) {
 	specs := expirySpecs(t)
 	p := startEvictingProxy(t, specs[0].Request)
 	coord, err := fabric.NewCoordinator([]fabric.Backend{
-		fabric.NewRemote(p.url, client.WithRetry(50, time.Millisecond)),
-	}, 1)
+		fabric.NewRemote(p.url, 1, client.WithRetry(50, time.Millisecond)),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,8 +115,8 @@ func TestCoordinatorSurvivesWorkerExpiry(t *testing.T) {
 	if p.evicted.Load() != 1 {
 		t.Fatalf("%d jobs expired before their result request, want 1", p.evicted.Load())
 	}
-	if n := p.accepted() - before; n != len(specs)+1 {
-		t.Fatalf("the worker ran %d jobs for %d runs, want one resubmission", n, len(specs))
+	if n := p.accepted() - before; n != 2 {
+		t.Fatalf("the worker ran %d jobs for %d runs, want the batch job and one resubmission", n, len(specs))
 	}
 	if got.CSV() != want.CSV() {
 		t.Fatalf("merged CSV after an expiry differs:\n%s\nwant:\n%s", got.CSV(), want.CSV())
@@ -138,15 +126,15 @@ func TestCoordinatorSurvivesWorkerExpiry(t *testing.T) {
 	}
 }
 
-// TestRunBatchSurvivesWorkerExpiry: the same for one batch job, the way
-// `sweep -remote` ships a sweep: the CSV is unchanged and no progress
-// line is handed on twice.
+// TestRunBatchSurvivesWorkerExpiry: the same for a Remote on its own,
+// the way `sweep -remote` ships a sweep as one batch job: the results
+// are unchanged and no progress line is handed on twice.
 func TestRunBatchSurvivesWorkerExpiry(t *testing.T) {
 	specs := expirySpecs(t)
 	p := startEvictingProxy(t, specs[0].Request)
-	remote := fabric.NewRemote(p.url, client.WithRetry(50, time.Millisecond))
+	remote := fabric.NewRemote(p.url, 1, client.WithRetry(50, time.Millisecond))
 	ctx := context.Background()
-	want, err := remote.RunBatch(ctx, specs, nil)
+	want, err := remote.Run(ctx, specs, func(int, string) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +142,7 @@ func TestRunBatchSurvivesWorkerExpiry(t *testing.T) {
 	p.armed.Store(true)
 	before := p.accepted()
 	var lines []string
-	got, err := remote.RunBatch(ctx, specs, func(line string) { lines = append(lines, line) })
+	got, err := remote.Run(ctx, specs, func(_ int, line string) { lines = append(lines, line) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,8 +150,8 @@ func TestRunBatchSurvivesWorkerExpiry(t *testing.T) {
 		t.Fatalf("%d expired, %d batch jobs; want the batch expired once and resubmitted once",
 			p.evicted.Load(), p.accepted()-before)
 	}
-	if got != want {
-		t.Fatalf("batch CSV after an expiry differs:\n%s\nwant:\n%s", got, want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("batch results after an expiry differ:\n%+v\nwant:\n%+v", got, want)
 	}
 	if len(lines) != len(specs) {
 		t.Fatalf("%d progress lines for %d runs: %q", len(lines), len(specs), lines)

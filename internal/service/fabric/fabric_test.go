@@ -14,7 +14,7 @@ import (
 
 	"raccd/client"
 	"raccd/internal/coherence"
-	"raccd/internal/report"
+	"raccd/internal/resultstore"
 	"raccd/internal/service/exec"
 	"raccd/internal/sim"
 	"raccd/internal/tracefile"
@@ -78,47 +78,96 @@ func TestNewSpecKeyMatchesStoreIdentity(t *testing.T) {
 	}
 }
 
+// TestSpecRowIsTheResultRowName: a spec's row name is the name of the
+// workload its request builds — the workload column of its result row —
+// which for a synth: spec is its canonical unscaled spec, not its
+// identity, and for a trace the name in its header, not its path.
+func TestSpecRowIsTheResultRowName(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "renamed.rtf")
+	tr, err := tracefile.Record(workloads.MustGet("Jacobi", 0.05), tracefile.Fingerprint("Jacobi@0.05"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tracefile.WriteFile(path, tr); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		workload string
+		scale    float64
+		row, id  string
+	}{
+		{"MD5", 0.05, "MD5", "bench:MD5/scale=0.05"},
+		{"synth:chain/depth=4/seed=2", 0.05, "synth:chain/seed=2/depth=4", "synth:chain/seed=2/depth=1"},
+		{"trace:" + path, 0, "Jacobi", ""},
+	} {
+		spec, err := NewSpec(client.RunRequest{Workload: tc.workload, Scale: tc.scale, System: "PT"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := workloads.Get(tc.workload, exec.Scale(spec.Request))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spec.Row != tc.row || spec.Row != w.Name() {
+			t.Errorf("%s: row %q, want %q, the built workload's name %q", tc.workload, spec.Row, tc.row, w.Name())
+		}
+		if tc.id != "" && spec.Identity != tc.id {
+			t.Errorf("%s: identity %q, want %q", tc.workload, spec.Identity, tc.id)
+		}
+	}
+}
+
 func TestNewCoordinatorValidation(t *testing.T) {
-	if _, err := NewCoordinator(nil, 0); err == nil {
+	if _, err := NewCoordinator(nil); err == nil {
 		t.Fatal("empty backend list accepted")
 	}
 	dup := []Backend{&fakeBackend{name: "w"}, &fakeBackend{name: "w"}}
-	if _, err := NewCoordinator(dup, 0); err == nil {
+	if _, err := NewCoordinator(dup); err == nil {
 		t.Fatal("duplicate backend names accepted")
 	}
 	anon := []Backend{&fakeBackend{name: ""}}
-	if _, err := NewCoordinator(anon, 0); err == nil {
+	if _, err := NewCoordinator(anon); err == nil {
 		t.Fatal("empty backend name accepted")
 	}
 }
 
-// fakeBackend records which specs it ran and answers with a valid
-// single-run CSV derived from the spec, so Execute's parse/merge path is
-// exercised without any HTTP or simulation.
+// fakeBackend records the batches it ran and answers each spec with a
+// result derived from it, so Execute's scatter and merge are exercised
+// without any HTTP or simulation. With err set it fails every batch,
+// after calling onRun when that is set.
 type fakeBackend struct {
-	name string
-	err  error
+	name  string
+	err   error
+	onRun func()
 
-	mu   sync.Mutex
-	runs []Spec
+	mu      sync.Mutex
+	runs    []Spec
+	batches int
 }
 
 func (f *fakeBackend) Name() string { return f.name }
 
-func (f *fakeBackend) Run(ctx context.Context, spec Spec) (string, []string, error) {
+func (f *fakeBackend) Run(ctx context.Context, specs []Spec, progress func(i int, line string)) ([]sim.Result, error) {
 	f.mu.Lock()
-	f.runs = append(f.runs, spec)
+	f.runs = append(f.runs, specs...)
+	f.batches++
 	f.mu.Unlock()
 	if f.err != nil {
-		return "", nil, f.err
+		if f.onRun != nil {
+			f.onRun()
+		}
+		return nil, f.err
 	}
-	res := resultForSpec(spec)
-	csv := report.NewSet([]sim.Result{res}).CSV()
-	return csv, []string{"ran " + spec.Key()}, nil
+	out := make([]sim.Result, len(specs))
+	for i, s := range specs {
+		out[i] = resultForSpec(s)
+		progress(i, "ran "+s.Key())
+	}
+	return out, nil
 }
 
-// resultForSpec derives a distinct, parseable result from a spec whose
-// Identity is "id<ratio>".
+// resultForSpec derives a distinct result from a spec whose Identity is
+// "id<ratio>".
 func resultForSpec(spec Spec) sim.Result {
 	var ratio int
 	fmt.Sscanf(spec.Identity, "id%d", &ratio)
@@ -132,7 +181,7 @@ func resultForSpec(spec Spec) sim.Result {
 
 func TestCoordinatorExecuteMergesDeterministically(t *testing.T) {
 	b1, b2 := &fakeBackend{name: "w1"}, &fakeBackend{name: "w2"}
-	c, err := NewCoordinator([]Backend{b1, b2}, 2)
+	c, err := NewCoordinator([]Backend{b1, b2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +206,8 @@ func TestCoordinatorExecuteMergesDeterministically(t *testing.T) {
 			t.Fatalf("line %d = %q, want %q", i, line, want)
 		}
 	}
-	// Every spec ran exactly once, on the backend its key hashes to.
+	// Every spec ran exactly once, on the backend its key hashes to, and
+	// each backend got its share as one batch.
 	if got := len(b1.runs) + len(b2.runs); got != len(specs) {
 		t.Fatalf("backends ran %d specs, want %d", got, len(specs))
 	}
@@ -166,22 +216,31 @@ func TestCoordinatorExecuteMergesDeterministically(t *testing.T) {
 	}
 	names := []string{"w1", "w2"}
 	for bi, b := range []*fakeBackend{b1, b2} {
+		if b.batches != 1 {
+			t.Fatalf("backend %d got %d batches, want 1", bi, b.batches)
+		}
 		for _, s := range b.runs {
 			if PickName(s.Key(), names) != bi {
 				t.Fatalf("spec %q ran on backend %d against its hash", s.Key(), bi)
 			}
 		}
 	}
-	// The merged set holds every run.
+	// The merged set holds every run, each under its own result.
 	if got := len(set.Results()); got != len(specs) {
 		t.Fatalf("merged set has %d results, want %d", got, len(specs))
+	}
+	for _, s := range specs {
+		want := resultForSpec(s)
+		if got, ok := set.Get(want.Workload, want.System, want.DirRatio, false); !ok || got != want {
+			t.Fatalf("merged set holds %+v for %s, want %+v", got, s.Key(), want)
+		}
 	}
 }
 
 func TestCoordinatorExecutePropagatesErrors(t *testing.T) {
 	boom := errors.New("worker exploded")
 	b1, b2 := &fakeBackend{name: "w1", err: boom}, &fakeBackend{name: "w2", err: boom}
-	c, err := NewCoordinator([]Backend{b1, b2}, 1)
+	c, err := NewCoordinator([]Backend{b1, b2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,25 +248,6 @@ func TestCoordinatorExecutePropagatesErrors(t *testing.T) {
 	if _, err := c.Execute(context.Background(), specs, nil); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped %v", err, boom)
 	}
-}
-
-func TestCoordinatorRejectsMalformedWorkerCSV(t *testing.T) {
-	bad := &badCSVBackend{}
-	c, err := NewCoordinator([]Backend{bad}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = c.Execute(context.Background(), []Spec{{Fingerprint: "f", Identity: "i"}}, nil)
-	if err == nil || !strings.Contains(err.Error(), "bad") {
-		t.Fatalf("err = %v, want a parse failure naming the backend", err)
-	}
-}
-
-type badCSVBackend struct{}
-
-func (badCSVBackend) Name() string { return "bad" }
-func (badCSVBackend) Run(context.Context, Spec) (string, []string, error) {
-	return "this is not a report CSV\n", nil, nil
 }
 
 // probeBackend is a fakeBackend that also answers health checks, like
@@ -219,37 +259,55 @@ type probeBackend struct {
 
 func (p *probeBackend) CheckHealth(context.Context) error { return p.healthErr }
 
+// homedSpecs returns, for each of c's backends, n specs that home on it.
+func homedSpecs(c *Coordinator, n int) [][]Spec {
+	out := make([][]Spec, len(c.backends))
+	for i, full := 1, 0; full < len(out); i++ {
+		s := Spec{Fingerprint: "wl", Identity: fmt.Sprintf("id%d", i)}
+		if bi := c.Pick(s.Key()); len(out[bi]) < n {
+			if out[bi] = append(out[bi], s); len(out[bi]) == n {
+				full++
+			}
+		}
+	}
+	return out
+}
+
 // TestBackendStatsAndProbe covers the coordinator's per-backend health
-// and traffic accounting: RunSpec tallies requests and failures (but
-// not cancellations), and Probe flips the up gauge for backends whose
+// and traffic accounting: a dispatch adds its run count to the
+// backend's requests, a failed one to its errors too (but not a
+// cancelled one), and Probe flips the up gauge for backends whose
 // health check fails while leaving checker-less backends up.
 func TestBackendStatsAndProbe(t *testing.T) {
 	ok := &probeBackend{fakeBackend: fakeBackend{name: "w1"}}
 	down := &probeBackend{fakeBackend: fakeBackend{name: "w2", err: errors.New("boom")}, healthErr: errors.New("connection refused")}
 	local := &fakeBackend{name: "local"}
-	c, err := NewCoordinator([]Backend{ok, down, local}, 1)
+	c, err := NewCoordinator([]Backend{ok, down, local})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// One run on each backend: w2 fails and counts an error.
+	// A two-run job on each backend: w2's dispatch fails and counts both
+	// runs as errors.
 	ctx := context.Background()
-	for bi := range []Backend{ok, down, local} {
-		c.runOn(ctx, bi, Spec{Fingerprint: "wl", Identity: "id1"})
+	homed := homedSpecs(c, 2)
+	for _, specs := range homed {
+		c.Execute(ctx, specs, nil)
 	}
-	// A cancelled run is not the backend's fault: request counted, error not.
+	// A dispatch cancelled while it runs is not the backend's fault: its
+	// run counts as a request, not as an error.
 	canceled, cancel := context.WithCancel(ctx)
-	cancel()
-	c.runOn(canceled, 1, Spec{Fingerprint: "wl", Identity: "id2"})
+	down.onRun = cancel
+	c.Execute(canceled, homed[1][:1], nil)
 
 	sts := c.BackendStatuses()
 	if len(sts) != 3 {
 		t.Fatalf("%d statuses, want 3", len(sts))
 	}
 	for i, want := range []BackendStatus{
-		{Name: "w1", Up: true, Requests: 1, Errors: 0},
-		{Name: "w2", Up: true, Requests: 2, Errors: 1},
-		{Name: "local", Up: true, Requests: 1, Errors: 0},
+		{Name: "w1", Up: true, Requests: 2, Errors: 0},
+		{Name: "w2", Up: true, Requests: 3, Errors: 2},
+		{Name: "local", Up: true, Requests: 2, Errors: 0},
 	} {
 		if sts[i] != want {
 			t.Errorf("status[%d] = %+v, want %+v", i, sts[i], want)
@@ -275,18 +333,17 @@ func TestBackendStatsAndProbe(t *testing.T) {
 	}
 }
 
-// gateBackend tracks how many runs are in flight on it and holds every
-// run until release is closed, signalling entered as each one starts.
-type gateBackend struct {
+// gate stands in for a Local backend's simulations: it tracks how many
+// runs are simulating at once and holds every run until release is
+// closed, signalling entered as each one starts.
+type gate struct {
 	release, entered chan struct{}
 
 	mu       sync.Mutex
 	cur, max int
 }
 
-func (g *gateBackend) Name() string { return "gate" }
-
-func (g *gateBackend) Run(ctx context.Context, spec Spec) (string, []string, error) {
+func (g *gate) run(ctx context.Context, cfg sim.Config, key resultstore.Key, workload string, scale float64) (sim.Result, bool, error) {
 	g.mu.Lock()
 	g.cur++
 	g.max = max(g.max, g.cur)
@@ -296,45 +353,41 @@ func (g *gateBackend) Run(ctx context.Context, spec Spec) (string, []string, err
 	g.mu.Lock()
 	g.cur--
 	g.mu.Unlock()
-	return report.NewSet([]sim.Result{resultForSpec(spec)}).CSV(), nil, nil
+	return sim.Result{Workload: key.String()}, false, nil
 }
 
-// TestInFlightBoundSharedByRunsAndBatches: a backend's in-flight bound
-// holds across every caller — single runs (RunSpec) and batches
-// (Execute) running at once never have more than the bound executing on
-// one backend.
+// TestInFlightBoundSharedByRunsAndBatches: Local's in-flight bound holds
+// across every job — single-run jobs and a batch running at once never
+// have more than the bound simulating.
 func TestInFlightBoundSharedByRunsAndBatches(t *testing.T) {
 	const bound, singles, batched = 3, 6, 6
-	g := &gateBackend{release: make(chan struct{}), entered: make(chan struct{}, singles+batched)}
-	c, err := NewCoordinator([]Backend{g}, bound)
+	g := &gate{release: make(chan struct{}), entered: make(chan struct{}, singles+batched)}
+	c, err := NewCoordinator([]Backend{&Local{name: "local", slots: make(chan struct{}, bound), run: g.run}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
 	var wg sync.WaitGroup
-	for i := 0; i < singles; i++ {
+	execute := func(specs []Spec) {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			if _, _, err := c.RunSpec(ctx, Spec{Fingerprint: "single", Identity: fmt.Sprintf("id%d", i)}); err != nil {
+			if _, err := c.Execute(ctx, specs, nil); err != nil {
 				t.Error(err)
 			}
-		}(i)
+		}()
 	}
-	specs := make([]Spec, batched)
-	for i := range specs {
-		specs[i] = Spec{Fingerprint: fmt.Sprintf("wl%d", i), Identity: fmt.Sprintf("id%d", i)}
+	for i := 0; i < singles; i++ {
+		execute([]Spec{{Fingerprint: "single", Identity: fmt.Sprintf("id%d", i)}})
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if _, err := c.Execute(ctx, specs, nil); err != nil {
-			t.Error(err)
-		}
-	}()
+	batch := make([]Spec, batched)
+	for i := range batch {
+		batch[i] = Spec{Fingerprint: fmt.Sprintf("wl%d", i), Identity: fmt.Sprintf("id%d", i)}
+	}
+	execute(batch)
 
 	// Once the bound is reached nothing can finish until release, so
-	// any run dispatched past the bound shows up in max meanwhile.
+	// any run started past the bound shows up in max meanwhile.
 	for i := 0; i < bound; i++ {
 		<-g.entered
 	}
@@ -342,7 +395,7 @@ func TestInFlightBoundSharedByRunsAndBatches(t *testing.T) {
 	close(g.release)
 	wg.Wait()
 	if g.max != bound {
-		t.Fatalf("%d runs in flight at once on one backend, want the bound %d", g.max, bound)
+		t.Fatalf("%d runs simulating at once, want the bound %d", g.max, bound)
 	}
 }
 

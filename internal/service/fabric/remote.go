@@ -5,28 +5,36 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 
 	"raccd/client"
 	"raccd/internal/obs"
+	"raccd/internal/report"
+	"raccd/internal/sim"
 )
 
-// Remote executes runs on another raccdd daemon over its HTTP API:
-// submit the run, follow its SSE event stream (forwarding progress
-// lines), fetch the result CSV. It is how a coordinator daemon reaches
-// its workers and `sweep -remote` reaches its daemon.
+// Remote executes runs on another raccdd daemon over its HTTP API, a
+// batch as one POST /v1/batch worker job. Each worker job holds one of
+// its slots, shared by every Run call. It is how a coordinator daemon
+// reaches its workers and `sweep -remote` reaches its daemon.
 type Remote struct {
-	name string
-	c    *client.Client
+	name  string
+	c     *client.Client
+	slots chan struct{}
 }
 
-// NewRemote returns a backend for the daemon at baseURL. The URL is the
-// backend's rendezvous name: keep worker URLs stable across restarts
-// and every coordinator maps the same run to the same worker, which is
-// what makes dedupe global. Pass client.WithRetry so a briefly
-// saturated worker (503, connection refused) is re-attempted instead of
-// failing the whole batch.
-func NewRemote(baseURL string, opts ...client.Option) *Remote {
-	return &Remote{name: baseURL, c: client.New(baseURL, opts...)}
+// NewRemote returns a backend for the daemon at baseURL with inFlight
+// slots (<= 0 selects DefaultInFlight). The URL is the backend's
+// rendezvous name: keep worker URLs stable across restarts and every
+// coordinator maps the same run to the same worker, which is what makes
+// dedupe global. Pass client.WithRetry so a briefly saturated worker
+// (503, connection refused) is re-attempted instead of failing the
+// whole batch.
+func NewRemote(baseURL string, inFlight int, opts ...client.Option) *Remote {
+	if inFlight <= 0 {
+		inFlight = DefaultInFlight
+	}
+	return &Remote{name: baseURL, c: client.New(baseURL, opts...), slots: make(chan struct{}, inFlight)}
 }
 
 // Name implements Backend.
@@ -38,17 +46,6 @@ func (r *Remote) CheckHealth(ctx context.Context) error {
 	return r.c.Health(ctx)
 }
 
-// bridgeTrace carries the fabric context's trace ID over to the client
-// package's own context key, so every forwarded request goes out with
-// the coordinator's X-Raccd-Trace header. (The client package is
-// dependency-free by contract, so it cannot read obs's key itself.)
-func bridgeTrace(ctx context.Context) context.Context {
-	if id := obs.Trace(ctx); id != "" {
-		return client.WithTraceID(ctx, id)
-	}
-	return ctx
-}
-
 // jobRef names a worker job in an error message, quoting the worker's
 // trace ID when it reported one so users can grep the worker's log.
 func jobRef(id string, st client.Status) string {
@@ -58,62 +55,72 @@ func jobRef(id string, st client.Status) string {
 	return id
 }
 
-// RunBatch submits specs to the daemon as one POST /v1/batch job, waits
-// it to completion forwarding progress lines, and returns the worker's
-// merged CSV. It is the bulk counterpart of Run, used by `sweep -remote`
-// to ship a whole sweep matrix in one job.
-func (r *Remote) RunBatch(ctx context.Context, specs []Spec, progress func(line string)) (string, error) {
+// Run implements Backend: the specs go to the daemon as one batch job
+// once a slot is free (obs.Phases.Waited): submit it, follow its event
+// stream handing each progress line on with its run's index, and fetch
+// its result CSV, the whole round trip one fabric_rtt phase. A worker
+// keeps only its most recently finished jobs, so a job can expire before
+// its result is fetched; then Run submits it once more (the worker's
+// store answers it without simulating) and hands on only the lines the
+// first job did not. Each spec's result is the worker's CSV row under
+// its row key (row name, system, ratio, ADR), so runs that share one
+// all get the row the worker's merge kept, the last such run's.
+func (r *Remote) Run(ctx context.Context, specs []Spec, progress func(i int, line string)) ([]sim.Result, error) {
+	select {
+	case r.slots <- struct{}{}:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	defer func() { <-r.slots }()
+	ph := obs.PhasesFrom(ctx)
+	ph.Waited()
+	defer ph.Start(obs.PhaseFabric)()
+
+	// The client package is dependency-free by contract, so it cannot
+	// read obs's trace key: carry the trace ID over to its own, and every
+	// forwarded request goes out with the coordinator's X-Raccd-Trace.
+	if id := obs.Trace(ctx); id != "" {
+		ctx = client.WithTraceID(ctx, id)
+	}
 	req := client.BatchRequest{Runs: make([]client.RunRequest, len(specs))}
 	for i, s := range specs {
 		req.Runs[i] = s.Request
 	}
-	return r.roundTrip(bridgeTrace(ctx), func(ctx context.Context) (client.Status, error) {
-		return r.c.SubmitBatch(ctx, req)
-	}, progress)
-}
-
-// Run implements Backend: one run forwarded end to end. The whole round
-// trip — submit, stream, fetch — is the run's fabric_rtt phase.
-func (r *Remote) Run(ctx context.Context, spec Spec) (string, []string, error) {
-	ctx = bridgeTrace(ctx)
-	defer obs.PhasesFrom(ctx).Start(obs.PhaseFabric)()
-	var lines []string
-	csv, err := r.roundTrip(ctx, func(ctx context.Context) (client.Status, error) {
-		return r.c.SubmitRun(ctx, spec.Request)
-	}, func(line string) { lines = append(lines, line) })
-	if err != nil {
-		return "", nil, err
-	}
-	return csv, lines, nil
-}
-
-// roundTrip drives one worker job: submit it, follow its event stream
-// handing each progress line to progress (nil drops them), and fetch
-// its result CSV once it is done. A worker keeps only its most recently
-// finished jobs, so a job can expire before its result is fetched; then
-// roundTrip submits it once more (the worker's result store answers the
-// second job without simulating) and hands on only the progress lines
-// the first job did not.
-func (r *Remote) roundTrip(ctx context.Context, submit func(context.Context) (client.Status, error), progress func(line string)) (string, error) {
 	forwarded := 0
-	csv, err := r.try(ctx, submit, progress, &forwarded)
+	csv, err := r.try(ctx, req, progress, &forwarded)
 	if errors.Is(err, client.ErrExpired) {
-		csv, err = r.try(ctx, submit, progress, &forwarded)
+		csv, err = r.try(ctx, req, progress, &forwarded)
 	}
-	return csv, err
+	if err != nil {
+		return nil, err
+	}
+	set, err := report.ParseCSV(strings.NewReader(csv))
+	if err != nil {
+		return nil, fmt.Errorf("worker %s: %w", r.name, err)
+	}
+	out := make([]sim.Result, len(specs))
+	for i, s := range specs {
+		k := report.Key{Workload: s.Row, System: s.Config.System, Ratio: s.Config.DirRatio, ADR: s.Config.ADR}
+		res, ok := set.Get(k.Workload, k.System, k.Ratio, k.ADR)
+		if !ok {
+			return nil, fmt.Errorf("worker %s: results missing run %d (%v)", r.name, i, k)
+		}
+		out[i] = res
+	}
+	return out, nil
 }
 
-// try is one attempt of roundTrip. forwarded counts the progress lines
-// handed on so far across attempts; an attempt hands on the lines past
-// that count.
-func (r *Remote) try(ctx context.Context, submit func(context.Context) (client.Status, error), progress func(line string), forwarded *int) (string, error) {
-	st, err := submit(ctx)
+// try is one attempt of Run's worker job. forwarded counts the progress
+// lines handed on so far across attempts; an attempt hands on the lines
+// past that count.
+func (r *Remote) try(ctx context.Context, req client.BatchRequest, progress func(i int, line string), forwarded *int) (string, error) {
+	st, err := r.c.SubmitBatch(ctx, req)
 	if err != nil {
 		return "", fmt.Errorf("worker %s: %w", r.name, err)
 	}
 	seen := 0
 	fin, err := r.c.Wait(ctx, st.ID, func(e client.Event) {
-		if e.Type != "progress" || progress == nil {
+		if e.Type != "progress" {
 			return
 		}
 		var p struct {
@@ -124,7 +131,7 @@ func (r *Remote) try(ctx context.Context, submit func(context.Context) (client.S
 		}
 		if seen++; seen > *forwarded {
 			*forwarded = seen
-			progress(p.Line)
+			progress(seen-1, p.Line)
 		}
 	})
 	if err != nil {

@@ -102,7 +102,7 @@ func TestEmitFabricBench(t *testing.T) {
 		},
 		"notes": []string{
 			"Distributed output equivalence is pinned by TestCoordinatorBatchMatchesGolden and TestCoordinatorSweepMatchesGolden (byte-identical to the seed golden CSV).",
-			"Both slowdowns share one host, so the two workers add no CPUs: cold measures pure fan-out overhead, warm measures per-run HTTP round-trips against in-process cache recall.",
+			"Both slowdowns share one host, so the two workers add no CPUs: cold measures pure fan-out overhead, warm measures the coordinator's hop (one batch job per worker) against in-process cache recall.",
 			"The warm ratio is the cost of cross-node dedupe; it is gated loosely (CI passes -tolerance 0.5) because it is a ratio of two fast, jittery measurements.",
 		},
 	}

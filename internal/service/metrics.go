@@ -71,7 +71,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, bs := range backends {
 		fmt.Fprintf(&b, "raccd_fabric_backend_requests_total{backend=%q} %d\n", bs.Name, bs.Requests)
 	}
-	head("raccd_fabric_backend_errors_total", "counter", "Dispatched runs that failed on each backend (cancellations excluded).")
+	head("raccd_fabric_backend_errors_total", "counter", "Runs of the dispatches that failed on each backend (cancellations excluded).")
 	for _, bs := range backends {
 		fmt.Fprintf(&b, "raccd_fabric_backend_errors_total{backend=%q} %d\n", bs.Name, bs.Errors)
 	}

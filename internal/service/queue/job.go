@@ -149,8 +149,8 @@ func (j *Job) appendLocked(typ string, data map[string]any) {
 }
 
 // SetState transitions the job and logs a status event. Entering
-// StateRunning records the queue-wait phase (created → started). A
-// terminal state also logs its done/error event, whose payload carries
+// StateRunning begins the job's phases (obs.Phases.Begin). A terminal
+// state also logs its done/error event, whose payload carries
 // the final Status under "status", so a subscriber learns the outcome
 // without asking GET /v1/jobs/{id}. The state and its events change
 // under one lock: a subscriber that sees the job finished has already
@@ -166,9 +166,11 @@ func (j *Job) SetState(s State, errMsg string) {
 	switch s {
 	case StateRunning:
 		j.started = now
-		j.phases.Add(obs.PhaseQueueWait, now.Sub(j.created))
+		j.phases.Begin(j.created, now)
 	case StateDone, StateFailed, StateCanceled:
-		j.finished = now
+		if j.finished.IsZero() {
+			j.finished = now
+		}
 	}
 	if errMsg != "" {
 		j.err = errMsg
@@ -182,6 +184,17 @@ func (j *Job) SetState(s State, errMsg string) {
 	case StateCanceled:
 		j.appendLocked("error", map[string]any{"error": "job canceled: daemon shutting down", "status": j.statusLocked()})
 	}
+}
+
+// Commit marks the job's result committed: that ends its phases
+// (obs.Phases.Committed) and is its finish time, however long Finish
+// then takes to publish the outcome.
+func (j *Job) Commit() {
+	now := time.Now()
+	j.phases.Committed(now)
+	j.mu.Lock()
+	j.finished = now
+	j.mu.Unlock()
 }
 
 // Finish records the outcome of the job's body: the CSV on success, a

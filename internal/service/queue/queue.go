@@ -22,17 +22,18 @@ var (
 	// ErrClosed rejects submissions after Close.
 	ErrClosed = errors.New("service shutting down")
 	// ErrExpired is wrapped by Get's error for a job the queue accepted
-	// and has since forgotten: it finished, and RetainedPerSlot × depth
-	// newer jobs finished after it.
+	// and has since forgotten: it finished, and jobs of RetainedPerSlot ×
+	// depth runs between them finished after it.
 	ErrExpired = errors.New("expired")
 )
 
-// RetainedPerSlot sizes the window of finished jobs: a queue of depth d
-// keeps every unfinished job plus the RetainedPerSlot × d jobs that
-// finished most recently (1,024 at raccdd's default depth of 64). On
-// the serve-warm benchmark (2 CPUs, 15 s windows) the daemon's peak RSS
-// read ~28 MiB at 4 ×, ~32 MiB at 16 × and ~45 MiB at 64 ×: 16 × keeps a
-// finished job queryable four times as long as 4 × for ~3.5 MiB.
+// RetainedPerSlot sizes the window of finished jobs in runs: a queue of
+// depth d keeps every unfinished job plus the newest finished ones while
+// they hold at most RetainedPerSlot × d runs (a job counts its runs, at
+// least one, and the newest always stays). On the serve-warm benchmark
+// (2 CPUs, 15 s windows, one-run jobs) peak RSS read ~28 MiB at 4 ×, ~32
+// MiB at 16 × and ~45 MiB at 64 ×: 16 × keeps a finished job queryable
+// four times as long as 4 × for ~3.5 MiB.
 const RetainedPerSlot = 16
 
 // Queue bounds the jobs accepted and not yet finished, and keeps them
@@ -44,10 +45,10 @@ type Queue struct {
 	mu sync.Mutex
 	// jobs holds every unfinished job and every retained finished one.
 	jobs map[string]*Job
-	// finished is the window of retained finished jobs, a ring in finish
-	// order once full; oldest is the slot of the next one to forget.
+	// finished is the window of retained finished jobs in finish order,
+	// holding retained runs between them; keep bounds retained.
 	finished   []*Job
-	oldest     int
+	retained   int
 	keep       int
 	nextID     int
 	accepted   int
@@ -88,7 +89,8 @@ func (t *tally) ran() {
 }
 
 // New returns a queue holding at most depth unfinished jobs and keeping
-// the RetainedPerSlot × depth most recently finished ones.
+// the most recently finished ones while they hold at most
+// RetainedPerSlot × depth runs.
 func New(depth int) *Queue {
 	return &Queue{
 		jobs:  make(map[string]*Job),
@@ -140,20 +142,22 @@ func (q *Queue) Submit(j *Job) error {
 }
 
 // Done marks a submitted job finished, freeing its place. The job joins
-// the window of finished jobs, and the one that finished longest ago
-// leaves it once the window is full.
+// the window of finished jobs, and the jobs that finished longest ago
+// leave it while it holds more runs than it keeps, all but the newest.
 func (q *Queue) Done(j *Job) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.unfinished--
 	q.idle.Done()
-	if len(q.finished) < q.keep {
-		q.finished = append(q.finished, j)
-		return
+	q.finished = append(q.finished, j)
+	q.retained += max(j.runsTotal, 1) // runsTotal is set once, by NewJob
+	for q.retained > q.keep && len(q.finished) > 1 {
+		old := q.finished[0]
+		q.finished[0] = nil
+		q.finished = q.finished[1:]
+		q.retained -= max(old.runsTotal, 1)
+		delete(q.jobs, old.id)
 	}
-	delete(q.jobs, q.finished[q.oldest].id)
-	q.finished[q.oldest] = j
-	q.oldest = (q.oldest + 1) % q.keep
 }
 
 // Wait blocks until every submitted job is Done.

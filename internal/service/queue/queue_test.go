@@ -282,6 +282,77 @@ func TestWindowEvictsInFinishOrder(t *testing.T) {
 	}
 }
 
+// TestWindowCountsRuns: the window holds RetainedPerSlot × depth runs,
+// so it keeps W one-run jobs but only W/16 sixteen-run jobs, forgetting
+// them in finish order; a job larger than the whole window still stays
+// while it is the newest finished one.
+func TestWindowCountsRuns(t *testing.T) {
+	const depth = 2
+	w := RetainedPerSlot * depth
+	q := New(depth)
+	submit := func(runs int) *Job {
+		t.Helper()
+		j := NewJob(q.NewID(), "batch", "", runs)
+		if err := q.Submit(j); err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	kept := func() []*Job {
+		var out []*Job
+		for _, j := range q.Jobs() {
+			if j.Status().State.Terminal() {
+				out = append(out, j)
+			}
+		}
+		return out
+	}
+
+	var ones []*Job
+	for i := 0; i < w+2; i++ {
+		j := submit(1)
+		finish(q, j)
+		ones = append(ones, j)
+	}
+	if got := kept(); len(got) != w || got[0] != ones[2] {
+		t.Fatalf("after %d one-run jobs the window keeps %d starting at %s, want %d starting at %s",
+			len(ones), len(got), got[0].ID(), w, ones[2].ID())
+	}
+
+	// Sixteen-run batches finished out of submission order: the window
+	// forgets in finish order, and every one-run job goes first.
+	var batches []*Job
+	for i := 0; i < w/16+2; i++ {
+		batches = append(batches, submit(16))
+		if i%2 == 1 {
+			finish(q, batches[i])
+			finish(q, batches[i-1])
+		}
+	}
+	got := kept()
+	if len(got) != w/16 {
+		t.Fatalf("after %d sixteen-run batches the window keeps %d jobs, want %d", len(batches), len(got), w/16)
+	}
+	// Finish order was 1, 0, 3, 2: the two that finished first are gone.
+	for i, j := range batches {
+		_, err := q.Get(j.ID())
+		if expired := i == 0 || i == 1; expired != errors.Is(err, ErrExpired) {
+			t.Fatalf("Get(batch %d) = %v, want expired %v", i, err, expired)
+		}
+	}
+	for _, j := range ones {
+		if _, err := q.Get(j.ID()); !errors.Is(err, ErrExpired) {
+			t.Fatalf("Get(one-run %s) = %v, want expired", j.ID(), err)
+		}
+	}
+
+	huge := submit(2 * w)
+	finish(q, huge)
+	if got := kept(); len(got) != 1 || got[0] != huge {
+		t.Fatalf("after a %d-run job the window keeps %d jobs, want only that job", 2*w, len(got))
+	}
+}
+
 // TestCountsMatchWalk: Counts returns what a walk over every accepted
 // job would, in every state, and keeps counting once jobs are forgotten.
 func TestCountsMatchWalk(t *testing.T) {

@@ -20,6 +20,23 @@ import (
 // simulation every submission is a result-store hit.
 var warmRun = client.RunRequest{Workload: "MD5", Scale: 0.05, System: "PT"}
 
+// warmBatch is the batch the retention test repeats: every run of three
+// small paper sweeps, 69 runs that are store hits after the first batch.
+var warmBatch = func() client.BatchRequest {
+	var b client.BatchRequest
+	for _, wl := range []string{"MD5", "Jacobi", "Histo"} {
+		for _, sys := range []string{"FullCoh", "PT", "RaCCD"} {
+			for _, ratio := range []int{1, 2, 4, 8, 16, 64, 256} {
+				b.Runs = append(b.Runs, client.RunRequest{Workload: wl, Scale: 0.05, System: sys, DirRatio: ratio})
+			}
+			if sys != "FullCoh" {
+				b.Runs = append(b.Runs, client.RunRequest{Workload: wl, Scale: 0.05, System: sys, ADR: true})
+			}
+		}
+	}
+	return b
+}()
+
 // serve sends one request straight to h and returns the recorded
 // response.
 func serve(h http.Handler, method, path, body string) *httptest.ResponseRecorder {
@@ -29,13 +46,20 @@ func serve(h http.Handler, method, path, body string) *httptest.ResponseRecorder
 }
 
 // runWarm submits warmRun through h and follows its event stream to the
-// end, so the job has finished when it returns. A 503 — the previous
-// job has finished but not yet left the queue — is retried.
+// end, so the job has finished when it returns.
 func runWarm(t *testing.T, h http.Handler) string {
 	t.Helper()
-	body, _ := json.Marshal(warmRun)
+	return submitWarm(t, h, "/v1/runs", warmRun)
+}
+
+// submitWarm submits req to path through h and follows the job's event
+// stream to the end. A 503 — the previous job has finished but not yet
+// left the queue — is retried.
+func submitWarm(t *testing.T, h http.Handler, path string, req any) string {
+	t.Helper()
+	body, _ := json.Marshal(req)
 	for {
-		rec := serve(h, http.MethodPost, "/v1/runs", string(body))
+		rec := serve(h, http.MethodPost, path, string(body))
 		if rec.Code == http.StatusServiceUnavailable {
 			time.Sleep(time.Millisecond)
 			continue
@@ -61,35 +85,51 @@ func liveHeap() uint64 {
 
 // TestRetentionBoundsHeap is the soak test of the job window: a daemon
 // that has served 50·W warm runs holds no more live heap than one that
-// has served 10·W (W the window of finished jobs it keeps), while its
-// counters still count every job and run.
+// has served 10·W (W the runs of the finished jobs it keeps), while its
+// counters still count every job and run. The window counts runs, so
+// this holds for one-run jobs and for batch jobs alike.
 func TestRetentionBoundsHeap(t *testing.T) {
-	const depth = 2
-	w := queue.RetainedPerSlot * depth
-	s, _ := newTestServer(t, Options{QueueDepth: depth})
-	h := s.Handler()
-	for i := 0; i < 10*w; i++ {
-		runWarm(t, h)
-	}
-	at10 := liveHeap()
-	for i := 10 * w; i < 50*w; i++ {
-		runWarm(t, h)
-	}
-	at50 := liveHeap()
-	const bound = 1 << 20
-	t.Logf("live heap after %d jobs: %d B; after %d: %d B", 10*w, at10, 50*w, at50)
-	if at50 > at10+bound {
-		t.Errorf("live heap grew from %d B after %d jobs to %d B after %d (+%d B, bound %d B)",
-			at10, 10*w, at50, 50*w, at50-at10, bound)
-	}
+	for _, tc := range []struct {
+		name  string
+		depth int
+		path  string
+		req   any
+		runs  int
+	}{
+		{"runs", 2, "/v1/runs", warmRun, 1},
+		{"batches", 8, "/v1/batch", warmBatch, len(warmBatch.Runs)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := queue.RetainedPerSlot * tc.depth
+			s, _ := newTestServer(t, Options{QueueDepth: tc.depth})
+			h := s.Handler()
+			jobs := 0
+			serveRuns := func(runs int) {
+				for ; jobs*tc.runs < runs; jobs++ {
+					submitWarm(t, h, tc.path, tc.req)
+				}
+			}
+			serveRuns(10 * w)
+			at10 := liveHeap()
+			jobs10 := jobs
+			serveRuns(50 * w)
+			at50 := liveHeap()
+			const bound = 1 << 20
+			t.Logf("live heap after %d jobs: %d B; after %d: %d B", jobs10, at10, jobs, at50)
+			if at50 > at10+bound {
+				t.Errorf("live heap grew from %d B after %d jobs to %d B after %d (+%d B, bound %d B)",
+					at10, jobs10, at50, jobs, at50-at10, bound)
+			}
 
-	stats := s.Stats()
-	if stats.Jobs["done"] != 50*w || len(stats.Jobs) != 1 || stats.RunsCompleted != uint64(50*w) || stats.SimsRun != 1 {
-		t.Errorf("stats = jobs %v, %d runs completed, %d simulated; want %d done jobs and runs, 1 simulated",
-			stats.Jobs, stats.RunsCompleted, stats.SimsRun, 50*w)
-	}
-	if n := len(s.q.Jobs()); n > w {
-		t.Errorf("the queue keeps %d jobs, above its window of %d", n, w)
+			stats := s.Stats()
+			if stats.Jobs["done"] != jobs || len(stats.Jobs) != 1 || stats.RunsCompleted != uint64(jobs*tc.runs) || stats.SimsRun != uint64(tc.runs) {
+				t.Errorf("stats = jobs %v, %d runs completed, %d simulated; want %d done jobs, %d runs, %d simulated",
+					stats.Jobs, stats.RunsCompleted, stats.SimsRun, jobs, jobs*tc.runs, tc.runs)
+			}
+			if n := len(s.q.Jobs()); n > max(w/tc.runs, 1) {
+				t.Errorf("the queue keeps %d jobs, above its window of %d runs", n, w)
+			}
+		})
 	}
 }
 

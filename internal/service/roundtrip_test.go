@@ -94,9 +94,10 @@ func TestRunIsThreeRoundTrips(t *testing.T) {
 	}
 }
 
-// TestCoordinatorRunIsThreeRoundTripsPerWorker: behind a coordinator,
-// each run forwarded to a worker costs that worker exactly three API
-// requests, and the client's run costs the coordinator three.
+// TestCoordinatorRunIsThreeRoundTripsPerWorker: behind a coordinator, a
+// client's run or batch costs the coordinator three API requests, and
+// each worker at most one job of three API requests — a run is a batch
+// of one, and a batch reaches each worker its runs home on as one job.
 func TestCoordinatorRunIsThreeRoundTripsPerWorker(t *testing.T) {
 	var urls []string
 	var workers []*Server
@@ -109,6 +110,44 @@ func TestCoordinatorRunIsThreeRoundTripsPerWorker(t *testing.T) {
 	}
 	_, coordCnt, coordURL := startCounted(t, Options{Workers: urls})
 	c := client.New(coordURL)
+	ctx := context.Background()
+
+	// through sends one job through the coordinator and returns how many
+	// worker jobs it cost, checking every request count on the way.
+	through := func(what string, submit func(context.Context) (client.Status, error)) int {
+		t.Helper()
+		coordBefore := coordCnt.n.Load()
+		var reqsBefore [2]int64
+		var jobsBefore [2]int
+		for i, ws := range workers {
+			reqsBefore[i], jobsBefore[i] = counters[i].n.Load(), ws.Stats().Jobs["done"]
+		}
+		st, err := submit(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fin, err := c.Wait(ctx, st.ID, nil); err != nil || fin.State != "done" {
+			t.Fatalf("%s: %v, %+v", what, err, fin)
+		}
+		if _, err := c.Result(ctx, st.ID); err != nil {
+			t.Fatal(err)
+		}
+		if got := coordCnt.n.Load() - coordBefore; got != 3 {
+			t.Fatalf("%s: coordinator served %d API requests, want 3", what, got)
+		}
+		var jobs int
+		for i, ws := range workers {
+			n := ws.Stats().Jobs["done"] - jobsBefore[i]
+			if n > 1 {
+				t.Fatalf("%s: worker %d ran %d jobs, want at most 1", what, i, n)
+			}
+			if got := counters[i].n.Load() - reqsBefore[i]; got != int64(3*n) {
+				t.Fatalf("%s: worker %d served %d API requests for %d jobs, want %d", what, i, got, n, 3*n)
+			}
+			jobs += n
+		}
+		return jobs
+	}
 
 	runs := []client.RunRequest{
 		{Workload: "Jacobi", Scale: 0.05, System: "PT"},
@@ -117,30 +156,31 @@ func TestCoordinatorRunIsThreeRoundTripsPerWorker(t *testing.T) {
 		{Workload: "MD5", Scale: 0.05, System: "RaCCD", DirRatio: 16},
 	}
 	for _, req := range runs {
-		before := coordCnt.n.Load()
-		runThrough(t, c, req)
-		if got := coordCnt.n.Load() - before; got != 3 {
-			t.Fatalf("coordinator served %d API requests for one run, want 3", got)
+		if jobs := through("run", func(ctx context.Context) (client.Status, error) { return c.SubmitRun(ctx, req) }); jobs != 1 {
+			t.Fatalf("a run cost %d worker jobs, want 1", jobs)
 		}
 	}
-	ctx := context.Background()
-	st, err := c.SubmitBatch(ctx, client.BatchRequest{Runs: runs})
-	if err != nil {
-		t.Fatal(err)
+	// The golden sweep's 16 runs home on both workers.
+	batch := client.BatchRequest{}
+	for _, wl := range []string{"MD5", "Jacobi"} {
+		for _, sys := range []string{"FullCoh", "PT", "RaCCD"} {
+			for _, ratio := range []int{1, 16} {
+				batch.Runs = append(batch.Runs, client.RunRequest{Workload: wl, Scale: 0.08, System: sys, DirRatio: ratio})
+			}
+		}
+		for _, sys := range []string{"PT", "RaCCD"} {
+			batch.Runs = append(batch.Runs, client.RunRequest{Workload: wl, Scale: 0.08, System: sys, ADR: true})
+		}
 	}
-	if fin, err := c.Wait(ctx, st.ID, nil); err != nil || fin.State != "done" {
-		t.Fatalf("batch: %v, %+v", err, fin)
+	if jobs := through("batch", func(ctx context.Context) (client.Status, error) { return c.SubmitBatch(ctx, batch) }); jobs != 2 {
+		t.Fatalf("a %d-run batch cost %d worker jobs, want one on each worker", len(batch.Runs), jobs)
 	}
 
-	var total int64
-	for i, ws := range workers {
-		done := int64(ws.Stats().RunsCompleted)
-		if got := counters[i].n.Load(); got != 3*done {
-			t.Fatalf("worker %d served %d API requests for %d runs, want %d", i, got, done, 3*done)
-		}
-		total += done
+	var total uint64
+	for _, ws := range workers {
+		total += ws.Stats().RunsCompleted
 	}
-	if want := int64(2 * len(runs)); total != want {
+	if want := uint64(len(runs) + len(batch.Runs)); total != want {
 		t.Fatalf("workers completed %d runs, want %d", total, want)
 	}
 }

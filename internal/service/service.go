@@ -9,20 +9,20 @@
 //     `sweep -cache` uses); owns the per-scheme and per-phase execution
 //     counters.
 //   - fabric (internal/service/fabric): the transport seam under every
-//     run — a Backend executes it in-process (Local) or on another raccdd
-//     (Remote), and a Coordinator partitions runs across backends by
-//     rendezvous-hashing each run's (fingerprint, workload identity)
-//     pair, so identical runs land on one node and dedupe globally.
+//     run — a Backend executes a batch of runs in-process (Local) or on
+//     another raccdd as one job (Remote), and a Coordinator partitions
+//     runs across backends by rendezvous-hashing each run's
+//     (fingerprint, workload identity) pair, so identical runs land on
+//     one node and dedupe globally.
 //
-// Every job executes through the coordinator. A run is one spec, a
-// batch is its run list, and a sweep expands into exactly the run list
-// the equivalent batch would carry, so all three share one execution
-// path, one progress line per run, one phase breakdown and one CSV. A
-// plain daemon is the degenerate one-node fabric (a single Local
-// backend). Started with Options.Workers it becomes a coordinator: runs
-// are partitioned across the worker daemons, progress is merged
-// losslessly in deterministic run order, and the merged CSV is
-// byte-identical to a local sweep of the same runs.
+// Every job executes through the coordinator's Execute: a run is a
+// batch of one spec, and a sweep expands into exactly the run list the
+// equivalent batch would carry, so all three share one execution path,
+// progress stream, phase breakdown and CSV. A plain daemon is the
+// degenerate one-node fabric (a single Local backend). Started with
+// Options.Workers it becomes a coordinator: each worker gets its share
+// of a job's runs as one batch job, progress merges losslessly in run
+// order, and the merged CSV is byte-identical to a local sweep's.
 //
 // API (see docs/SERVICE.md for the full spec):
 //
@@ -45,7 +45,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"runtime"
 	"strconv"
 	"time"
 
@@ -101,11 +100,11 @@ type Options struct {
 	// directory may back cmd/sweep -cache, so offline sweeps and served
 	// runs share results.
 	Store *resultstore.Store
-	// InFlight bounds the runs executing at once on each backend, shared
-	// by every job: runs, batches and sweeps alike wait for a slot, and
-	// nothing else bounds them. 0 selects one per CPU
-	// (runtime.GOMAXPROCS) for the in-process backend and
-	// fabric.DefaultInFlight per worker.
+	// InFlight bounds each backend's work, shared by every job: on a
+	// plain daemon the simulations running at once in-process (0 selects
+	// one per CPU, runtime.GOMAXPROCS), on a coordinator the worker jobs
+	// outstanding on each worker (0 selects fabric.DefaultInFlight). A
+	// job's runs wait for these slots, and nothing else bounds them.
 	InFlight int
 	// QueueDepth bounds the jobs accepted and not yet finished (default
 	// 64); submissions beyond it are rejected with 503.
@@ -174,18 +173,14 @@ func New(opts Options) (*Server, error) {
 	s.runCtx, s.cancelRun = context.WithCancel(context.Background()) //raccd:ctxlog-ok server-lifetime root context, cancelled by Close/drain — there is no caller ctx at construction
 
 	var backends []fabric.Backend
-	inFlight := opts.InFlight
 	if len(opts.Workers) > 0 {
 		for _, u := range opts.Workers {
-			backends = append(backends, fabric.NewRemote(u, client.WithRetry(workerRetries, workerBackoff)))
+			backends = append(backends, fabric.NewRemote(u, opts.InFlight, client.WithRetry(workerRetries, workerBackoff)))
 		}
 	} else {
-		backends = append(backends, fabric.NewLocal("local", s.ex))
-		if inFlight <= 0 {
-			inFlight = runtime.GOMAXPROCS(0)
-		}
+		backends = append(backends, fabric.NewLocal("local", s.ex, opts.InFlight))
 	}
-	coord, err := fabric.NewCoordinator(backends, inFlight)
+	coord, err := fabric.NewCoordinator(backends)
 	if err != nil {
 		return nil, fmt.Errorf("service: %w", err)
 	}
@@ -240,12 +235,11 @@ func (s *Server) runJob(j *queue.Job, body func(*queue.Job) (string, error)) {
 	j.SetState(StateRunning, "")
 	s.log.Info("job started", "job", j.ID(), "trace", j.Trace(), "kind", j.Kind())
 	csv, err := s.executeJob(j, body)
-	// The phases are complete once body returns. Observe them before
-	// Finish publishes the terminal event, so a client that has seen
-	// the job finish also sees them in /metrics.
-	for name, d := range j.Phases().Durations() { //raccd:unordered-ok each phase feeds its own histogram; cross-phase observation order is commutative
-		s.ex.Metrics().ObservePhase(name, d)
-	}
+	// Body has committed the job's result, which ends its phases. Observe
+	// them before Finish publishes the terminal event, so a client that
+	// has seen the job finish also sees them in /metrics.
+	j.Commit()
+	j.Phases().Each(s.ex.Metrics().ObservePhase)
 	j.Finish(csv, err)
 	s.logFinished(j)
 }
@@ -314,8 +308,7 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	j := queue.NewJob(s.q.NewID(), "run", obs.Trace(r.Context()), 1)
-	s.enqueueAndRespond(w, j, s.runOne(spec))
+	s.submit(w, r, "run", []fabric.Spec{spec})
 }
 
 // jobCtx is the context a job's body runs under: the server's
@@ -326,22 +319,6 @@ func (s *Server) jobCtx(j *queue.Job) context.Context {
 	ctx := obs.WithTrace(s.runCtx, j.Trace())
 	ctx = obs.WithLogger(ctx, s.log.With("trace", j.Trace(), "job", j.ID()))
 	return obs.WithPhases(ctx, j.Phases())
-}
-
-// runOne is the body of a single-run job: the spec's rendezvous
-// backend executes it (the in-process Local backend on a plain daemon)
-// and its progress lines land in the job's event log.
-func (s *Server) runOne(spec fabric.Spec) func(*queue.Job) (string, error) {
-	return func(j *queue.Job) (string, error) {
-		csv, lines, err := s.coord.RunSpec(s.jobCtx(j), spec)
-		if err != nil {
-			return "", err
-		}
-		for _, line := range lines {
-			j.Progress(line)
-		}
-		return csv, nil
-	}
 }
 
 func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
@@ -371,8 +348,39 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	j := queue.NewJob(s.q.NewID(), "sweep", obs.Trace(r.Context()), len(specs))
-	s.enqueueAndRespond(w, j, s.runSpecs(specs))
+	s.submit(w, r, "sweep", specs)
+}
+
+// handleSubmitBatch accepts POST /v1/batch: an explicit run list
+// executed as one job. Every run is validated up front — the batch is
+// rejected whole on the first invalid run, so a 202 means every run will
+// execute. The runs scatter across the fabric (the one Local backend on
+// a plain daemon, the worker fleet on a coordinator), progress streams
+// one line per completed run in deterministic batch order, and the
+// result is one merged CSV with rows sorted exactly as `sweep -csv`
+// sorts them. Duplicate runs in one batch cost one simulation (they
+// dedupe through the result store) and collapse into one CSV row — the
+// merged set is keyed by (workload, system, ratio, ADR).
+func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
+	var req BatchRequest
+	if !decodeBody(w, r, s.opts.MaxSweepRuns, &req) {
+		return
+	}
+	if len(req.Runs) == 0 {
+		httpError(w, http.StatusBadRequest, errors.New("batch contains zero runs"))
+		return
+	}
+	if len(req.Runs) > s.opts.MaxSweepRuns {
+		httpError(w, http.StatusBadRequest,
+			fmt.Errorf("batch has %d runs, above the server's limit of %d", len(req.Runs), s.opts.MaxSweepRuns))
+		return
+	}
+	specs, err := fabric.NewSpecs(req.Runs)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return
+	}
+	s.submit(w, r, "batch", specs)
 }
 
 // maxBodyPerRun is the body budget per run a submission may carry: a
@@ -399,9 +407,20 @@ func decodeBody(w http.ResponseWriter, r *http.Request, runs int, v any) bool {
 	return false
 }
 
-// enqueueAndRespond admits j with body and writes the 202/503 response.
-func (s *Server) enqueueAndRespond(w http.ResponseWriter, j *queue.Job, body func(*queue.Job) (string, error)) {
-	if err := s.admit(j, body); err != nil {
+// submit admits specs as one job of kind and writes the 202/503
+// response. Every job has the same body — a run is a batch of one spec:
+// the coordinator scatters the specs across its backends and the merged
+// set renders as one CSV.
+func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind string, specs []fabric.Spec) {
+	j := queue.NewJob(s.q.NewID(), kind, obs.Trace(r.Context()), len(specs))
+	err := s.admit(j, func(j *queue.Job) (string, error) {
+		set, err := s.coord.Execute(s.jobCtx(j), specs, j.Progress)
+		if err != nil {
+			return "", err
+		}
+		return set.CSV(), nil
+	})
+	if err != nil {
 		httpError(w, http.StatusServiceUnavailable, err)
 		return
 	}

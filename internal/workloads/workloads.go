@@ -207,38 +207,46 @@ func Get(name string, scale float64) (Workload, error) {
 //     recording parameters, not the captured access streams.) The file
 //     is parsed as Get parses it, so a file Get rejects has no identity.
 func Identity(name string, scale float64) (string, error) {
+	id, _, err := resolve(name, scale)
+	return id, err
+}
+
+// resolve returns Identity(name, scale) and the name of the workload
+// Get(name, scale) builds, the workload column of its result rows: a
+// benchmark's name, a synth: spec's canonical spec or a trace's name.
+func resolve(name string, scale float64) (id, row string, err error) {
 	if err := checkScale(scale); err != nil {
-		return "", err
+		return "", "", err
 	}
 	if strings.HasPrefix(name, synth.Prefix) {
 		p, err := synth.Parse(name)
 		if err != nil {
-			return "", err
+			return "", "", err
 		}
-		return p.Scaled(scale).Name(), nil
+		return p.Scaled(scale).Name(), p.Name(), nil
 	}
 	if path, ok := strings.CutPrefix(name, TracePrefix); ok {
 		t, err := tracefile.ReadFile(path)
 		if err != nil {
-			return "", fmt.Errorf("workloads: %w", err)
+			return "", "", fmt.Errorf("workloads: %w", err)
 		}
 		h := sha256.New()
 		_ = tracefile.Encode(h, t) // a hash.Hash never fails a Write
-		return fmt.Sprintf("trace:%s/sha=%x", t.Name(), h.Sum(nil)[:12]), nil
+		return fmt.Sprintf("trace:%s/sha=%x", t.Name(), h.Sum(nil)[:12]), t.Name(), nil
 	}
 	if _, ok := registry[name]; !ok {
-		return "", fmt.Errorf("workloads: unknown benchmark %q (have %v)", name, Names())
+		return "", "", fmt.Errorf("workloads: unknown benchmark %q (have %v)", name, Names())
 	}
-	return fmt.Sprintf("bench:%s/scale=%s", name, strconv.FormatFloat(scale, 'g', -1, 64)), nil
+	return fmt.Sprintf("bench:%s/scale=%s", name, strconv.FormatFloat(scale, 'g', -1, 64)), name, nil
 }
 
-// Identities memoizes Identity by workload name and scale, so the runs
+// Identities memoizes resolve by workload name and scale, so the runs
 // of one request or sweep that share a trace read, parse and hash it
 // once between them. The zero value is empty and ready to use; it is
 // safe for concurrent use. A failed lookup is not remembered.
 type Identities struct {
 	mu sync.Mutex
-	m  map[identityKey]string
+	m  map[identityKey]resolved
 }
 
 type identityKey struct {
@@ -246,24 +254,26 @@ type identityKey struct {
 	scale float64
 }
 
-// Identity is the package-level Identity, resolved at most once per
-// (name, scale) while it succeeds.
-func (ids *Identities) Identity(name string, scale float64) (string, error) {
+type resolved struct{ id, row string }
+
+// Resolve returns Identity(name, scale) and the workload's row name,
+// resolved at most once per (name, scale) while it succeeds.
+func (ids *Identities) Resolve(name string, scale float64) (id, row string, err error) {
 	ids.mu.Lock()
 	defer ids.mu.Unlock()
 	k := identityKey{name, scale}
-	if id, ok := ids.m[k]; ok {
-		return id, nil
+	if r, ok := ids.m[k]; ok {
+		return r.id, r.row, nil
 	}
-	id, err := Identity(name, scale)
+	id, row, err = resolve(name, scale)
 	if err != nil {
-		return "", err
+		return "", "", err
 	}
 	if ids.m == nil {
-		ids.m = make(map[identityKey]string)
+		ids.m = make(map[identityKey]resolved)
 	}
-	ids.m[k] = id
-	return id, nil
+	ids.m[k] = resolved{id, row}
+	return id, row, nil
 }
 
 // MustGet is Get that panics on unknown names.

@@ -191,7 +191,11 @@ func WriteTrace(w io.Writer, wl Workload) error {
 // header. Traces are scheme-agnostic: the same file runs under FullCoh,
 // PT, PT-RO and RaCCD at any directory ratio, ADR and SMT setting.
 func ReadTrace(r io.Reader) (Workload, error) {
-	return tracefile.Decode(r)
+	t, err := tracefile.Decode(r)
+	if err != nil {
+		return nil, err
+	}
+	return t, nil
 }
 
 // NewSyntheticWorkload builds a seeded synthetic task graph from a spec of

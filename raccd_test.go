@@ -103,6 +103,18 @@ func TestValidateSelfCheck(t *testing.T) {
 	}
 }
 
+// A trace that fails to decode yields its error and no workload: the
+// returned interface is nil, not a nil *Trace inside a Workload.
+func TestReadTraceErrorHasNoWorkload(t *testing.T) {
+	w, err := ReadTrace(strings.NewReader("not a trace"))
+	if err == nil {
+		t.Fatal("ReadTrace accepted bytes that are not a trace")
+	}
+	if w != nil {
+		t.Fatalf("ReadTrace returned workload %#v with error %v, want nil", w, err)
+	}
+}
+
 // The public trace API round-trips: a workload written with WriteTrace and
 // read back with ReadTrace produces identical results under every system.
 func TestPublicTraceRoundTrip(t *testing.T) {
