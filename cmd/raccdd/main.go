@@ -55,7 +55,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		addr       = fs.String("addr", ":8080", "listen address")
 		cacheDir   = fs.String("cache", "", "result cache directory (default: a fresh temp dir)")
 		maxCacheMB = fs.Uint64("max-cache-mb", 0, "cache size bound in MiB (0 = unbounded)")
-		jobs       = fs.Int("jobs", 0, "in-flight slots shared by all jobs: simulations in-process (0 = one per CPU), or worker jobs per worker with -workers (0 = 4)")
+		jobs       = fs.Int("jobs", 0, "simulations running at once in-process, shared by all jobs (0 = one per CPU); a coordinator (-workers) simulates nothing")
 		queueDepth = fs.Int("queue", 64, "max unfinished jobs before submissions get 503")
 		drain      = fs.Duration("drain", 30*time.Second, "shutdown deadline for in-flight jobs")
 		workers    = fs.String("workers", "", "comma-separated worker raccdd URLs; runs execute on the fleet instead of in-process, partitioned by rendezvous hash")

@@ -219,7 +219,6 @@ func TestCoordinatorModeEndToEnd(t *testing.T) {
 	coordOpts := base
 	coordOpts.cacheDir = t.TempDir()
 	coordOpts.workers = urls
-	coordOpts.inFlight = 2
 	coordURL, coordCodec := startDaemon(t, ctx, coordOpts)
 	codecs = append(codecs, coordCodec)
 

@@ -39,7 +39,7 @@ func runRemote(ctx context.Context, m report.Matrix, machineName, endpoint strin
 	trace := obs.NewTraceID()
 	ctx = obs.WithTrace(ctx, trace)
 
-	remote := fabric.NewRemote(endpoint, 1, client.WithRetry(remoteRetries, remoteBackoff))
+	remote := fabric.NewRemote(endpoint, client.WithRetry(remoteRetries, remoteBackoff))
 	results, err := remote.Run(ctx, specs, func(_ int, line string) {
 		if m.Progress != nil {
 			m.Progress(line)

@@ -79,7 +79,7 @@ func TestPhasesNilSafe(t *testing.T) {
 	p.Add("x", time.Second) // must not panic
 	p.Start("x")()
 	p.Begin(time.Now(), time.Now())
-	p.Waited()
+	p.Waited(time.Now())
 	p.Ran()
 	p.Committed(time.Now())
 	p.Each(func(string, time.Duration) { t.Fatal("nil phases have no buckets") })
@@ -89,28 +89,30 @@ func TestPhasesNilSafe(t *testing.T) {
 }
 
 // TestPhasesCountFromBeginAndRan: queue_wait runs from the job's
-// creation to Begin, and each Waited adds the time since Begin; store
-// gains the time from the latest Ran to Committed. Waited before Begin
-// and Committed before Ran add nothing.
+// creation to Begin; the job's first Waited adds the time since Begin
+// and every later one the time since its own start; store gains the
+// time from the latest Ran to Committed, and nothing before a Ran.
 func TestPhasesCountFromBeginAndRan(t *testing.T) {
 	p := &Phases{}
-	p.Waited()
 	p.Committed(time.Now())
 	if s := p.Seconds(); s != nil {
-		t.Fatalf("phases before Begin and Ran = %v, want none", s)
+		t.Fatalf("phases after Committed before Ran = %v, want none", s)
 	}
 	began := time.Now()
 	p.Begin(began.Add(-time.Second), began)
 	time.Sleep(2 * time.Millisecond)
-	p.Waited()
+	p.Waited(time.Now().Add(-time.Hour)) // the first wait counts from Begin
+	if w := p.Seconds()[PhaseQueueWait]; w < 1.002 || w > 1.5 {
+		t.Fatalf("queue_wait = %vs, want 1s before Begin plus the 2ms after it", w)
+	}
+	p.Waited(time.Now().Add(-time.Second / 2))
+	if w := p.Seconds()[PhaseQueueWait]; w < 1.502 || w > 2 {
+		t.Fatalf("queue_wait = %vs, want a later wait to add its own 0.5s", w)
+	}
 	p.Ran()
 	ran := time.Now()
 	p.Committed(ran.Add(time.Second))
-	s := p.Seconds()
-	if w := s[PhaseQueueWait]; w < 1.002 || w > 1.5 {
-		t.Fatalf("queue_wait = %vs, want 1s before Begin plus the 2ms after it", w)
-	}
-	if st := s[PhaseStore]; st < 1 || st > 1.5 {
+	if st := p.Seconds()[PhaseStore]; st < 1 || st > 1.5 {
 		t.Fatalf("store = %vs, want the 1s from Ran to Committed", st)
 	}
 }

@@ -20,9 +20,10 @@ type Phases struct {
 	// set marks the buckets that were ever added to, so a phase timed
 	// at zero is still reported while an untouched one is not.
 	set [len(phaseNames)]atomic.Bool
-	// began is when the job started running and ran when a run's result
-	// last came back, in ns since origin (0: not yet). Integers keep Ran
-	// from allocating, and so from a GC assist right after a simulation.
+	// began is when the job started running, until its first run's wait
+	// consumes it, and ran when a run's result last came back, in ns
+	// since origin (0: not set). Integers keep Ran from allocating, and
+	// so from a GC assist right after a simulation.
 	began, ran atomic.Int64
 }
 
@@ -62,8 +63,8 @@ func (p *Phases) Start(name string) func() {
 }
 
 // Begin records that the job, accepted at created, started running at
-// now: the time in between is queue_wait, and so is each run's wait
-// from now until it holds its in-flight slot (Waited).
+// now: the time in between is queue_wait, and so is the wait of the
+// job's first run from now until it holds its slot (Waited).
 func (p *Phases) Begin(created, now time.Time) {
 	if p != nil {
 		p.began.Store(int64(now.Sub(origin)))
@@ -71,12 +72,21 @@ func (p *Phases) Begin(created, now time.Time) {
 	}
 }
 
-// Waited adds the time since Begin to queue_wait; a run calls it once it
-// holds its slot, so the hand-offs on the way there count as waiting.
-func (p *Phases) Waited() {
-	if p != nil {
-		p.addSince(PhaseQueueWait, &p.began, time.Now())
+// Waited adds the wait of a run that began waiting at t0 and now holds
+// its slot to queue_wait. The job's first wait counts from Begin
+// instead, so the hand-offs between the job's start and its first run
+// count as waiting; every later run counts only its own wait, not the
+// runs that went before it.
+func (p *Phases) Waited(t0 time.Time) {
+	if p == nil {
+		return
 	}
+	now := time.Now()
+	if b := p.began.Swap(0); b != 0 {
+		p.Add(PhaseQueueWait, now.Sub(origin)-time.Duration(b))
+		return
+	}
+	p.Add(PhaseQueueWait, now.Sub(t0))
 }
 
 // Ran records that a run's result came back: the time from the latest
@@ -89,16 +99,11 @@ func (p *Phases) Ran() {
 
 // Committed adds the time from the latest Ran to now to store.
 func (p *Phases) Committed(now time.Time) {
-	if p != nil {
-		p.addSince(PhaseStore, &p.ran, now)
+	if p == nil {
+		return
 	}
-}
-
-// addSince adds the time from instant at to now to the named bucket,
-// unless at is not yet set.
-func (p *Phases) addSince(name string, at *atomic.Int64, now time.Time) {
-	if t := at.Load(); t != 0 {
-		p.Add(name, now.Sub(origin)-time.Duration(t))
+	if t := p.ran.Load(); t != 0 {
+		p.Add(PhaseStore, now.Sub(origin)-time.Duration(t))
 	}
 }
 

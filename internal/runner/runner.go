@@ -66,10 +66,12 @@ func Run[T any](ctx context.Context, workers, n int,
 	)
 
 	// worker takes indices in order and runs their jobs until every
-	// index is taken or the pool is cancelled.
+	// index is taken or the pool is cancelled. It holds mu except while a
+	// job runs. The unlock is not deferred: when work panics, mu is
+	// already unlocked, and unlocking it again is a fatal error no
+	// recover catches, where a panic left alone reaches the caller.
 	worker := func() {
 		mu.Lock()
-		defer mu.Unlock()
 		for issued < n && ctx.Err() == nil {
 			i := issued
 			issued++
@@ -88,6 +90,7 @@ func Run[T any](ctx context.Context, workers, n int,
 				results[next], done[next] = zero, false
 			}
 		}
+		mu.Unlock()
 	}
 
 	var wg sync.WaitGroup

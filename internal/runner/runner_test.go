@@ -213,3 +213,30 @@ func TestZeroJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A job that panics on the calling goroutine — every job does with one
+// worker — panics out of Run with its own value, so a recover in the
+// caller turns it into an error instead of the process dying.
+func TestPanicReachesCaller(t *testing.T) {
+	for _, n := range []int{1, 3} {
+		var commits []int
+		got := func() (p any) {
+			defer func() { p = recover() }()
+			Run(context.Background(), 1, n,
+				func(_ context.Context, i int) (int, error) {
+					if i == n-1 {
+						panic("job panicked")
+					}
+					return i, nil
+				},
+				func(i, _ int) { commits = append(commits, i) })
+			return nil
+		}()
+		if got != "job panicked" {
+			t.Fatalf("n=%d: recovered %v, want the job's panic value", n, got)
+		}
+		if len(commits) != n-1 {
+			t.Fatalf("n=%d: commits %v, want the %d jobs before the panic", n, commits, n-1)
+		}
+	}
+}

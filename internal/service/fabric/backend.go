@@ -18,6 +18,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"time"
 
 	"raccd/client"
 	"raccd/internal/obs"
@@ -136,13 +137,15 @@ type localRun struct {
 
 // Run implements Backend: the specs fan out through runner.Run, each
 // executed through the store under the key NewSpec derived once it
-// holds one of l's slots. It tells its job's phases when it holds the
-// slot (obs.Phases.Waited) and when its result is back (Ran).
+// holds one of l's slots. It tells its job's phases how long each run
+// waited for its slot (obs.Phases.Waited) and when its result is back
+// (Ran).
 func (l *Local) Run(ctx context.Context, specs []Spec, progress func(i int, line string)) ([]sim.Result, error) {
 	ph := obs.PhasesFrom(ctx)
 	out := make([]sim.Result, len(specs))
 	err := runner.Run(ctx, cap(l.slots), len(specs),
 		func(ctx context.Context, i int) (localRun, error) {
+			t0 := time.Now()
 			s := specs[i]
 			key := resultstore.KeyOf(s.Fingerprint, s.Identity)
 			select {
@@ -150,7 +153,7 @@ func (l *Local) Run(ctx context.Context, specs []Spec, progress func(i int, line
 			case <-ctx.Done():
 				return localRun{}, ctx.Err()
 			}
-			ph.Waited()
+			ph.Waited(t0)
 			defer func() { <-l.slots }()
 			res, cached, err := l.run(ctx, s.Config, key, s.Request.Workload, exec.Scale(s.Request))
 			if err != nil {

@@ -16,12 +16,6 @@ import (
 	"raccd/internal/workloads"
 )
 
-// DefaultInFlight is how many worker jobs a Remote keeps outstanding by
-// default: enough for several coordinator jobs to share a worker, small
-// enough not to flood its admission queue. The worker's own slots bound
-// each job's simulations.
-const DefaultInFlight = 4
-
 // PickName returns the index of the name that wins the rendezvous hash
 // for key: the argmax of h(name, key) over names (highest-random-weight
 // hashing). Every caller with the same name list maps the same key to

@@ -94,7 +94,7 @@ func TestCoordinatorSurvivesWorkerExpiry(t *testing.T) {
 	specs := expirySpecs(t)
 	p := startEvictingProxy(t, specs[0].Request)
 	coord, err := fabric.NewCoordinator([]fabric.Backend{
-		fabric.NewRemote(p.url, 1, client.WithRetry(50, time.Millisecond)),
+		fabric.NewRemote(p.url, client.WithRetry(50, time.Millisecond)),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +132,7 @@ func TestCoordinatorSurvivesWorkerExpiry(t *testing.T) {
 func TestRunBatchSurvivesWorkerExpiry(t *testing.T) {
 	specs := expirySpecs(t)
 	p := startEvictingProxy(t, specs[0].Request)
-	remote := fabric.NewRemote(p.url, 1, client.WithRetry(50, time.Millisecond))
+	remote := fabric.NewRemote(p.url, client.WithRetry(50, time.Millisecond))
 	ctx := context.Background()
 	want, err := remote.Run(ctx, specs, func(int, string) {})
 	if err != nil {

@@ -14,6 +14,7 @@ import (
 
 	"raccd/client"
 	"raccd/internal/coherence"
+	"raccd/internal/obs"
 	"raccd/internal/resultstore"
 	"raccd/internal/service/exec"
 	"raccd/internal/sim"
@@ -396,6 +397,38 @@ func TestInFlightBoundSharedByRunsAndBatches(t *testing.T) {
 	wg.Wait()
 	if g.max != bound {
 		t.Fatalf("%d runs simulating at once, want the bound %d", g.max, bound)
+	}
+}
+
+// TestBatchQueueWaitIsWaitingOnly: a batch run's queue_wait counts only
+// its own wait for a slot, not the runs its worker ran before it. Eight
+// runs of 5 ms each on two uncontended slots wait next to nothing, so
+// queue_wait stays far below exec; counting each run from the job's
+// start would add up to 60 ms of the 40 ms of exec.
+func TestBatchQueueWaitIsWaitingOnly(t *testing.T) {
+	const runs, slots = 8, 2
+	run := func(ctx context.Context, cfg sim.Config, key resultstore.Key, workload string, scale float64) (sim.Result, bool, error) {
+		defer obs.PhasesFrom(ctx).Start(obs.PhaseExec)()
+		time.Sleep(5 * time.Millisecond)
+		return sim.Result{Workload: key.String()}, false, nil
+	}
+	c, err := NewCoordinator([]Backend{&Local{name: "local", slots: make(chan struct{}, slots), run: run}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]Spec, runs)
+	for i := range batch {
+		batch[i] = Spec{Fingerprint: fmt.Sprintf("wl%d", i), Identity: fmt.Sprintf("id%d", i)}
+	}
+	ph := &obs.Phases{}
+	now := time.Now()
+	ph.Begin(now, now)
+	if _, err := c.Execute(obs.WithPhases(context.Background(), ph), batch, nil); err != nil {
+		t.Fatal(err)
+	}
+	s := ph.Seconds()
+	if wait, exec := s[obs.PhaseQueueWait], s[obs.PhaseExec]; exec < 0.04 || wait > exec/4 {
+		t.Fatalf("queue_wait %.4fs against exec %.4fs, want exec ≥ 0.04s and queue_wait under a quarter of it", wait, exec)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"time"
 
 	"raccd/client"
 	"raccd/internal/obs"
@@ -14,27 +15,25 @@ import (
 )
 
 // Remote executes runs on another raccdd daemon over its HTTP API, a
-// batch as one POST /v1/batch worker job. Each worker job holds one of
-// its slots, shared by every Run call. It is how a coordinator daemon
-// reaches its workers and `sweep -remote` reaches its daemon.
+// batch as one POST /v1/batch worker job. It is how a coordinator
+// daemon reaches its workers and `sweep -remote` reaches its daemon. It
+// keeps no bound of its own: a coordinator job sends each worker at
+// most one worker job, so the coordinator's admission queue bounds its
+// outstanding jobs on a worker, and the worker's own slots bound their
+// simulations.
 type Remote struct {
-	name  string
-	c     *client.Client
-	slots chan struct{}
+	name string
+	c    *client.Client
 }
 
-// NewRemote returns a backend for the daemon at baseURL with inFlight
-// slots (<= 0 selects DefaultInFlight). The URL is the backend's
-// rendezvous name: keep worker URLs stable across restarts and every
-// coordinator maps the same run to the same worker, which is what makes
-// dedupe global. Pass client.WithRetry so a briefly saturated worker
-// (503, connection refused) is re-attempted instead of failing the
-// whole batch.
-func NewRemote(baseURL string, inFlight int, opts ...client.Option) *Remote {
-	if inFlight <= 0 {
-		inFlight = DefaultInFlight
-	}
-	return &Remote{name: baseURL, c: client.New(baseURL, opts...), slots: make(chan struct{}, inFlight)}
+// NewRemote returns a backend for the daemon at baseURL. The URL is the
+// backend's rendezvous name: keep worker URLs stable across restarts
+// and every coordinator maps the same run to the same worker, which is
+// what makes dedupe global. Pass client.WithRetry so a briefly
+// saturated worker (503, connection refused) is re-attempted instead of
+// failing the whole batch.
+func NewRemote(baseURL string, opts ...client.Option) *Remote {
+	return &Remote{name: baseURL, c: client.New(baseURL, opts...)}
 }
 
 // Name implements Backend.
@@ -55,25 +54,19 @@ func jobRef(id string, st client.Status) string {
 	return id
 }
 
-// Run implements Backend: the specs go to the daemon as one batch job
-// once a slot is free (obs.Phases.Waited): submit it, follow its event
-// stream handing each progress line on with its run's index, and fetch
-// its result CSV, the whole round trip one fabric_rtt phase. A worker
-// keeps only its most recently finished jobs, so a job can expire before
-// its result is fetched; then Run submits it once more (the worker's
-// store answers it without simulating) and hands on only the lines the
-// first job did not. Each spec's result is the worker's CSV row under
+// Run implements Backend: the specs go to the daemon as one batch job:
+// submit it, follow its event stream handing each progress line on with
+// its run's index, and fetch its result CSV, the whole round trip one
+// fabric_rtt phase (the hand-off before it is a wait, obs.Phases.Waited).
+// A worker keeps only its most recently finished jobs, so a job can
+// expire before its result is fetched; then Run submits it once more
+// (the worker's store answers it without simulating) and hands on only
+// the lines the first job did not. Each spec's result is the worker's CSV row under
 // its row key (row name, system, ratio, ADR), so runs that share one
 // all get the row the worker's merge kept, the last such run's.
 func (r *Remote) Run(ctx context.Context, specs []Spec, progress func(i int, line string)) ([]sim.Result, error) {
-	select {
-	case r.slots <- struct{}{}:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	defer func() { <-r.slots }()
 	ph := obs.PhasesFrom(ctx)
-	ph.Waited()
+	ph.Waited(time.Now())
 	defer ph.Start(obs.PhaseFabric)()
 
 	// The client package is dependency-free by contract, so it cannot

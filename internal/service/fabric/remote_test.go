@@ -56,7 +56,7 @@ func TestCoordinatorRejectsMalformedWorkerCSV(t *testing.T) {
 			worker.ServeHTTP(w, r)
 		}))
 		t.Cleanup(proxy.Close)
-		coord, err := fabric.NewCoordinator([]fabric.Backend{fabric.NewRemote(proxy.URL, 1)})
+		coord, err := fabric.NewCoordinator([]fabric.Backend{fabric.NewRemote(proxy.URL)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,62 +67,60 @@ func TestCoordinatorRejectsMalformedWorkerCSV(t *testing.T) {
 	}
 }
 
-// TestRemoteInFlightBoundSharedByJobs: a Remote never has more worker
-// jobs outstanding than its bound, however many coordinator jobs send
-// it batches at once. The worker's event streams are held open until
-// release, so every job the Remote has submitted stays outstanding.
-func TestRemoteInFlightBoundSharedByJobs(t *testing.T) {
-	const bound, jobs = 2, 5
+// TestRemoteJobsDoNotQueueAtCoordinator: a Remote keeps no bound of its
+// own, so a coordinator job's worker job never waits behind other jobs'
+// worker jobs at the coordinator. With the event streams of five batch
+// jobs held open at the worker, a single run still completes.
+func TestRemoteJobsDoNotQueueAtCoordinator(t *testing.T) {
+	const held = 5
 	worker := startWorker(t, service.Options{}).Handler()
-	release, entered := make(chan struct{}), make(chan struct{}, jobs)
+	release, entered := make(chan struct{}), make(chan struct{}, held)
 	var (
-		mu       sync.Mutex
-		cur, top int
+		mu      sync.Mutex
+		streams int
 	)
 	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if strings.HasSuffix(r.URL.Path, "/events") {
 			mu.Lock()
-			cur++
-			top = max(top, cur)
+			streams++
+			hold := streams <= held
 			mu.Unlock()
-			entered <- struct{}{}
-			<-release
-			defer func() {
-				mu.Lock()
-				cur--
-				mu.Unlock()
-			}()
+			if hold {
+				entered <- struct{}{}
+				<-release
+			}
 		}
 		worker.ServeHTTP(w, r)
 	}))
 	t.Cleanup(proxy.Close)
-	coord, err := fabric.NewCoordinator([]fabric.Backend{fabric.NewRemote(proxy.URL, bound)})
+	coord, err := fabric.NewCoordinator([]fabric.Backend{fabric.NewRemote(proxy.URL)})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	specs := expirySpecs(t)
 	var wg sync.WaitGroup
-	for i := 0; i < jobs; i++ {
+	for i := 0; i < held; i++ {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			// Single-run jobs and batches alike.
-			if _, err := coord.Execute(context.Background(), specs[:1+i%len(specs)], nil); err != nil {
+			if _, err := coord.Execute(context.Background(), specs, nil); err != nil {
 				t.Error(err)
 			}
-		}(i)
+		}()
 	}
-	for i := 0; i < bound; i++ {
-		<-entered
+	defer wg.Wait()
+	defer close(release)
+	for i := 0; i < held; i++ {
+		select {
+		case <-entered:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d of %d batch jobs reached the worker; the others wait at the coordinator", i, held)
+		}
 	}
-	time.Sleep(20 * time.Millisecond)
-	close(release)
-	wg.Wait()
-	if top != bound {
-		t.Fatalf("%d worker jobs outstanding at once, want the bound %d", top, bound)
-	}
-	if got := coord.BackendStatuses()[0].Requests; got != 1+2+3+4+1 {
-		t.Fatalf("the worker was sent %d runs, want %d", got, 1+2+3+4+1)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := coord.Execute(ctx, specs[:1], nil); err != nil {
+		t.Fatalf("single run behind %d outstanding worker jobs: %v", held, err)
 	}
 }

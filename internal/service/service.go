@@ -100,11 +100,12 @@ type Options struct {
 	// directory may back cmd/sweep -cache, so offline sweeps and served
 	// runs share results.
 	Store *resultstore.Store
-	// InFlight bounds each backend's work, shared by every job: on a
-	// plain daemon the simulations running at once in-process (0 selects
-	// one per CPU, runtime.GOMAXPROCS), on a coordinator the worker jobs
-	// outstanding on each worker (0 selects fabric.DefaultInFlight). A
-	// job's runs wait for these slots, and nothing else bounds them.
+	// InFlight bounds the simulations running at once in-process,
+	// shared by every job (0 selects one per CPU, runtime.GOMAXPROCS). A
+	// job's runs wait for these slots, and nothing else bounds them. A
+	// coordinator simulates nothing: each of its jobs sends each worker
+	// at most one worker job, so QueueDepth bounds the worker jobs it has
+	// outstanding on a worker, and the worker's InFlight their runs.
 	InFlight int
 	// QueueDepth bounds the jobs accepted and not yet finished (default
 	// 64); submissions beyond it are rejected with 503.
@@ -175,7 +176,7 @@ func New(opts Options) (*Server, error) {
 	var backends []fabric.Backend
 	if len(opts.Workers) > 0 {
 		for _, u := range opts.Workers {
-			backends = append(backends, fabric.NewRemote(u, opts.InFlight, client.WithRetry(workerRetries, workerBackoff)))
+			backends = append(backends, fabric.NewRemote(u, client.WithRetry(workerRetries, workerBackoff)))
 		}
 	} else {
 		backends = append(backends, fabric.NewLocal("local", s.ex, opts.InFlight))
@@ -213,7 +214,7 @@ func (s *Server) Handler() http.Handler { return s.withObs(s.mux) }
 
 // admit accepts j and starts body on the job's own goroutine. The job
 // counts against QueueDepth until body returns; runs inside it wait
-// only for their backend's in-flight slots.
+// only for in-flight slots (Options.InFlight).
 func (s *Server) admit(j *queue.Job, body func(*queue.Job) (string, error)) error {
 	if err := s.q.Submit(j); err != nil {
 		return err
