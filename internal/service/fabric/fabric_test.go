@@ -404,7 +404,7 @@ func TestInFlightBoundSharedByRunsAndBatches(t *testing.T) {
 // its own wait for a slot, not the runs its worker ran before it. Eight
 // runs of 5 ms each on two uncontended slots wait next to nothing, so
 // queue_wait stays far below exec; counting each run from the job's
-// start would add up to 60 ms of the 40 ms of exec.
+// start would count 60 ms of waiting against the 40 ms of exec.
 func TestBatchQueueWaitIsWaitingOnly(t *testing.T) {
 	const runs, slots = 8, 2
 	run := func(ctx context.Context, cfg sim.Config, key resultstore.Key, workload string, scale float64) (sim.Result, bool, error) {
