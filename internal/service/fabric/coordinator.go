@@ -183,10 +183,16 @@ func (c *Coordinator) Pick(key string) int { return PickName(key, c.names) }
 // and as errors if it fails other than by cancellation. The first
 // failed dispatch cancels the others and its error is returned.
 func (c *Coordinator) Execute(ctx context.Context, specs []Spec, progress func(line string)) (*report.Set, error) {
-	// groups[bi] lists the specs homed on backend bi.
+	// groups[bi] lists the specs homed on backend bi, and homes the
+	// backends with specs, so a job homed on one backend (every
+	// single-run job) dispatches on the caller's goroutine.
 	groups := make([][]int, len(c.backends))
+	var homes []int
 	for i, s := range specs {
 		bi := c.Pick(s.Key())
+		if groups[bi] == nil {
+			homes = append(homes, bi)
+		}
 		groups[bi] = append(groups[bi], i)
 	}
 
@@ -204,12 +210,10 @@ func (c *Coordinator) Execute(ctx context.Context, specs []Spec, progress func(l
 	}
 
 	results := make([]sim.Result, len(specs))
-	err := runner.Run(ctx, len(groups), len(groups),
-		func(ctx context.Context, bi int) ([]sim.Result, error) {
+	err := runner.Run(ctx, len(homes), len(homes),
+		func(ctx context.Context, h int) ([]sim.Result, error) {
+			bi := homes[h]
 			idx := groups[bi]
-			if len(idx) == 0 {
-				return nil, nil
-			}
 			batch := make([]Spec, len(idx))
 			for k, i := range idx {
 				batch[k] = specs[i]
@@ -221,8 +225,8 @@ func (c *Coordinator) Execute(ctx context.Context, specs []Spec, progress func(l
 			}
 			return res, err
 		},
-		func(bi int, res []sim.Result) {
-			for k, i := range groups[bi] {
+		func(h int, res []sim.Result) {
+			for k, i := range groups[homes[h]] {
 				results[i] = res[k]
 			}
 		})

@@ -251,6 +251,32 @@ func TestCoordinatorExecutePropagatesErrors(t *testing.T) {
 	}
 }
 
+// TestSingleHomeDispatchesOnCaller: a job whose runs all home on one
+// backend, as every single-run job's do, dispatches on the caller's
+// goroutine, so a panic in the backend reaches the caller (the daemon's
+// per-job recover) instead of ending the process.
+func TestSingleHomeDispatchesOnCaller(t *testing.T) {
+	var backends []Backend
+	for _, name := range []string{"w1", "w2", "w3"} {
+		backends = append(backends, &fakeBackend{name: name, err: errors.New("unreached"),
+			onRun: func() { panic("backend " + name + " panicked") }})
+	}
+	c, err := NewCoordinator(backends)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for bi, specs := range homedSpecs(c, 2) {
+		got := func() (p any) {
+			defer func() { p = recover() }()
+			c.Execute(context.Background(), specs, nil)
+			return nil
+		}()
+		if want := "backend " + c.names[bi] + " panicked"; got != want {
+			t.Fatalf("recovered %v, want %q", got, want)
+		}
+	}
+}
+
 // probeBackend is a fakeBackend that also answers health checks, like
 // Remote does via GET /healthz.
 type probeBackend struct {
