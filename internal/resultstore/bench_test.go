@@ -32,8 +32,9 @@ func BenchmarkSimulate(b *testing.B) {
 	}
 }
 
-// BenchmarkCacheHit measures serving the same run from the store —
-// read + JSON decode + key check of one object file.
+// BenchmarkCacheHit measures serving the same run from the store: the
+// first hit reads and decodes the object file, every later one costs a
+// stat and a recency refresh of it beside the decoded copy in memory.
 func BenchmarkCacheHit(b *testing.B) {
 	s, err := Open(b.TempDir())
 	if err != nil {

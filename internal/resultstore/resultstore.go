@@ -20,6 +20,15 @@
 //   - Size-bounded: when MaxBytes is set, least-recently-used objects are
 //     evicted after each write (recency is the object file's mtime, which
 //     Get refreshes on every hit).
+//   - Warm hits from memory: the store keeps the decoded result of up to
+//     memCopies objects it has read back from disk. A later hit serves
+//     that copy when one stat shows the object file with the size and
+//     mtime it had at the copy's last recency refresh; any other answer
+//     (including a filesystem whose mtimes are coarser than the refresh
+//     time) falls back to reading and decoding the file. A Put, an
+//     eviction or a miss of a key drops its copy, and results a Put
+//     writes enter memory only once they are read back, so one-off
+//     results never displace hot ones.
 package resultstore
 
 import (
@@ -42,6 +51,11 @@ import (
 // schemaVersion is the on-disk object schema; objects written with any
 // other version read as misses.
 const schemaVersion = 1
+
+// memCopies bounds the decoded results a Store keeps in memory. A
+// sim.Result is 448 bytes, so a full set costs well under a MiB; it holds
+// the paper's whole evaluation (207 runs per scale) at several scales.
+const memCopies = 1024
 
 // staleTempAge is how old an orphaned temp file must be before Open
 // reclaims it; younger ones may be another process's in-flight write.
@@ -79,7 +93,9 @@ type object struct {
 // Stats counts store traffic since Open. Read a coherent copy with
 // Store.Stats.
 type Stats struct {
-	// Hits are Get/GetOrCompute calls served from disk.
+	// Hits are Get/GetOrCompute calls served from the store: from the
+	// decoded copy in memory when a stat shows the object file unchanged
+	// since the copy was last checked, by reading the file otherwise.
 	Hits uint64
 	// Coalesced are GetOrCompute calls that waited on another caller's
 	// in-flight computation instead of simulating themselves — cache hits
@@ -124,6 +140,9 @@ type Store struct {
 	stats Stats
 	// index mirrors the object files for GC accounting: hash → {size, atime}.
 	index map[string]indexEntry
+	// mem holds decoded copies of objects read back from disk, by hash,
+	// at most memCopies of them.
+	mem map[string]memCopy
 	// flight tracks in-progress GetOrCompute computations by hash.
 	flight map[string]*flight
 }
@@ -131,6 +150,24 @@ type Store struct {
 type indexEntry struct {
 	size  uint64
 	atime time.Time
+	// put numbers the Put that wrote the object (Stats.Puts after it);
+	// 0 for an object found by Open.
+	put uint64
+}
+
+// memCopy is the decoded result of an object file, with the file's size
+// and the mtime the store set on it when it last refreshed its recency.
+type memCopy struct {
+	res   sim.Result
+	size  int64
+	mtime time.Time
+}
+
+// current reports whether the object file at path still has the size
+// and mtime recorded with c.
+func (c memCopy) current(path string) bool {
+	fi, err := os.Stat(path)
+	return err == nil && fi.Size() == c.size && fi.ModTime().Equal(c.mtime)
 }
 
 type flight struct {
@@ -147,6 +184,7 @@ func Open(dir string) (*Store, error) {
 	s := &Store{
 		dir:    dir,
 		index:  make(map[string]indexEntry),
+		mem:    make(map[string]memCopy),
 		flight: make(map[string]*flight),
 	}
 	err := filepath.WalkDir(filepath.Join(dir, "objects"), func(path string, d fs.DirEntry, err error) error {
@@ -192,50 +230,95 @@ func (s *Store) objectPath(hash string) string {
 
 // Get returns the cached result for key, if present and readable. A
 // corrupt or schema-mismatched object reads as a miss (corruption is
-// deleted). Hits refresh the object's recency.
+// deleted). Hits refresh the object's recency. A hit on an object this
+// process has read back before is served from its decoded copy while the
+// file is unchanged (memCopy.current), and reads the file otherwise.
 func (s *Store) Get(key Key) (sim.Result, bool) {
-	res, ok := s.read(key)
+	path := s.objectPath(key.hash)
 	s.mu.Lock()
-	if ok {
-		s.stats.Hits++
-		if e, present := s.index[key.hash]; present {
-			e.atime = time.Now()
-			s.index[key.hash] = e
-		}
-	} else {
-		s.stats.Misses++
-	}
+	c, held := s.mem[key.hash]
+	put := s.index[key.hash].put
 	s.mu.Unlock()
-	return res, ok
+
+	res, size, ok := c.res, c.size, held && c.current(path)
+	if !ok {
+		res, size, ok = s.read(key, path)
+	}
+	if !ok {
+		// The file is gone, corrupt (and dropped) or of another schema:
+		// no copy of it may stay.
+		s.mu.Lock()
+		s.stats.Misses++
+		delete(s.mem, key.hash)
+		s.mu.Unlock()
+		return sim.Result{}, false
+	}
+	// Refresh recency on disk so cross-process LRU sees the hit too. If
+	// the refresh fails, the file lacks the mtime the copy records, and
+	// the next hit's stat falls back to reading the file.
+	now := time.Now()
+	_ = os.Chtimes(path, now, now)
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.stats.Hits++
+	e, indexed := s.index[key.hash]
+	if indexed {
+		e.atime = now
+		s.index[key.hash] = e
+	}
+	// A Put of this key since the lookup began may have replaced the file
+	// the refresh just stamped, and a stat cannot tell that file from the
+	// one the copy came from: keep the copy only if no Put did.
+	if e.put == put {
+		s.keepLocked(key.hash, memCopy{res: res, size: size, mtime: now})
+	}
+	return res, true
 }
 
-// read loads and validates the object file without touching stats.
-func (s *Store) read(key Key) (sim.Result, bool) {
-	path := s.objectPath(key.hash)
+// keepLocked stores c as hash's copy, first dropping an arbitrary other
+// copy if memCopies are held. Called with mu held.
+func (s *Store) keepLocked(hash string, c memCopy) {
+	if _, held := s.mem[hash]; !held && len(s.mem) >= memCopies {
+		for h := range s.mem {
+			delete(s.mem, h)
+			break
+		}
+	}
+	s.mem[hash] = c
+}
+
+// testHookRead, when set by a test, runs each time the store has read
+// an object file, before it decodes it.
+var testHookRead func()
+
+// read loads and validates the object file at path without touching
+// stats, returning the result and the file's size.
+func (s *Store) read(key Key, path string) (sim.Result, int64, bool) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return sim.Result{}, false
+		return sim.Result{}, 0, false
+	}
+	if testHookRead != nil {
+		testHookRead()
 	}
 	var obj object
 	if err := json.Unmarshal(data, &obj); err != nil {
 		s.dropCorrupt(key.hash, path)
-		return sim.Result{}, false
+		return sim.Result{}, 0, false
 	}
 	if obj.Version != schemaVersion {
 		// A different schema (likely a newer writer sharing the
 		// directory): miss, but leave the object alone.
-		return sim.Result{}, false
+		return sim.Result{}, 0, false
 	}
 	if obj.Key != key.id {
 		// Hash collision or torn content that still parsed: treat as
 		// corruption.
 		s.dropCorrupt(key.hash, path)
-		return sim.Result{}, false
+		return sim.Result{}, 0, false
 	}
-	// Refresh recency on disk so cross-process LRU sees the hit too.
-	now := time.Now()
-	_ = os.Chtimes(path, now, now)
-	return obj.Result, true
+	return obj.Result, int64(len(data)), true
 }
 
 // dropCorrupt deletes an unreadable object and de-indexes it.
@@ -285,10 +368,11 @@ func (s *Store) Put(key Key, res sim.Result) error {
 		s.stats.Bytes -= old.size
 		s.stats.Objects--
 	}
-	s.index[key.hash] = indexEntry{size: uint64(len(data)), atime: time.Now()}
 	s.stats.Bytes += uint64(len(data))
 	s.stats.Objects++
 	s.stats.Puts++
+	s.index[key.hash] = indexEntry{size: uint64(len(data)), atime: time.Now(), put: s.stats.Puts}
+	delete(s.mem, key.hash)
 	s.evictLocked()
 	s.mu.Unlock()
 	return nil
@@ -318,6 +402,7 @@ func (s *Store) evictLocked() {
 		s.stats.Objects--
 		s.stats.Evictions++
 		delete(s.index, c.hash)
+		delete(s.mem, c.hash)
 	}
 }
 

@@ -45,7 +45,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	head("raccd_runs_completed_total", "counter", "Simulation runs completed across all jobs accepted since the daemon started (cached or executed).")
 	fmt.Fprintf(&b, "raccd_runs_completed_total %d\n", runsDone)
 
-	head("raccd_store_hits_total", "counter", "Result-store lookups served from disk.")
+	head("raccd_store_hits_total", "counter", "Result-store lookups served from the store, from memory or from disk.")
 	fmt.Fprintf(&b, "raccd_store_hits_total %d\n", st.Hits)
 	head("raccd_store_misses_total", "counter", "Result-store lookups that had to simulate.")
 	fmt.Fprintf(&b, "raccd_store_misses_total %d\n", st.Misses)

@@ -47,14 +47,13 @@ type Queue struct {
 	jobs map[string]*Job
 	// finished is the window of retained finished jobs in finish order,
 	// holding retained runs between them; keep bounds retained.
-	finished   []*Job
-	retained   int
-	keep       int
-	nextID     int
-	accepted   int
-	limit      int
-	unfinished int
-	tally      tally
+	finished []*Job
+	retained int
+	keep     int
+	nextID   int
+	accepted int
+	limit    int
+	tally    tally
 	// idle is Waited on by Wait. Submit adds to it under mu and refuses
 	// once closing, so no Add can race a Wait that follows Close.
 	idle    sync.WaitGroup
@@ -64,11 +63,19 @@ type Queue struct {
 // tally counts every job a queue accepted by state, and the runs they
 // completed. A job moves itself under its own lock at each transition,
 // before it logs the transition's events: a client that has seen a job
-// finish sees it counted as finished.
+// finish sees it counted as finished, and its place in the queue free.
 type tally struct {
 	mu       sync.Mutex
 	byState  map[State]int
 	runsDone uint64
+}
+
+// unfinished counts the jobs in a state that is not terminal: the places
+// taken in the queue.
+func (t *tally) unfinished() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.byState[StateQueued] + t.byState[StateRunning]
 }
 
 // move counts one job leaving state from ("" for a new job) for to.
@@ -118,18 +125,20 @@ func (q *Queue) issued(id string) bool {
 	return ok && err == nil && n >= 1 && n <= q.nextID && jobID(n) == id
 }
 
-// Submit registers a job and counts it as unfinished until Done, or
-// reports why it cannot (ErrFull, ErrClosed).
+// Submit registers a job, which holds a place in the queue until it
+// reaches a terminal state, or reports why it cannot (ErrFull,
+// ErrClosed). Wait waits for the job until Done.
 func (q *Queue) Submit(j *Job) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closing {
 		return ErrClosed
 	}
-	if q.unfinished >= q.limit {
+	// Only Submit adds unfinished jobs, under mu, so the count cannot
+	// grow between this check and the job's move below.
+	if q.tally.unfinished() >= q.limit {
 		return ErrFull
 	}
-	q.unfinished++
 	q.idle.Add(1)
 	q.jobs[j.id] = j
 	j.seq = q.accepted
@@ -141,13 +150,14 @@ func (q *Queue) Submit(j *Job) error {
 	return nil
 }
 
-// Done marks a submitted job finished, freeing its place. The job joins
-// the window of finished jobs, and the jobs that finished longest ago
-// leave it while it holds more runs than it keeps, all but the newest.
+// Done retires a submitted job once it has finished and published its
+// outcome; its place was freed when it reached its terminal state. Wait
+// stops waiting for it, the job joins the window of finished jobs, and
+// the jobs that finished longest ago leave it while it holds more runs
+// than it keeps, all but the newest.
 func (q *Queue) Done(j *Job) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	q.unfinished--
 	q.idle.Done()
 	q.finished = append(q.finished, j)
 	q.retained += max(j.runsTotal, 1) // runsTotal is set once, by NewJob
@@ -211,14 +221,10 @@ func (q *Queue) Counts() (byState map[string]int, runsDone uint64) {
 }
 
 // Depth is the number of accepted jobs that have not finished.
-func (q *Queue) Depth() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.unfinished
-}
+func (q *Queue) Depth() int { return q.tally.unfinished() }
 
-// Close rejects further submissions; jobs already accepted still count
-// until Done. It errors if called twice.
+// Close rejects further submissions; Wait still waits for the jobs
+// already accepted. It errors if called twice.
 func (q *Queue) Close() error {
 	q.mu.Lock()
 	defer q.mu.Unlock()

@@ -50,7 +50,7 @@ func TestQueueFullAndClosed(t *testing.T) {
 		t.Fatalf("overflow submit err = %v, want ErrFull", err)
 	}
 	// A finished job frees its place.
-	q.Done(first)
+	finish(q, first)
 	second := NewJob(q.NewID(), "run", "", 1)
 	if err := q.Submit(second); err != nil {
 		t.Fatalf("submit after Done: %v", err)
@@ -64,12 +64,12 @@ func TestQueueFullAndClosed(t *testing.T) {
 	if err := q.Close(); err == nil {
 		t.Fatal("second Close did not error")
 	}
-	// The job accepted before Close still counts until it is Done, and
-	// Wait returns once it is.
+	// The job accepted before Close still counts until it finishes, and
+	// Wait returns once it is Done.
 	if q.Depth() != 1 {
 		t.Fatalf("depth after close = %d, want the 1 unfinished job", q.Depth())
 	}
-	q.Done(second)
+	finish(q, second)
 	q.Wait()
 	if q.Depth() != 0 {
 		t.Fatalf("depth after Done = %d, want 0", q.Depth())

@@ -53,26 +53,19 @@ func runWarm(t *testing.T, h http.Handler) string {
 }
 
 // submitWarm submits req to path through h and follows the job's event
-// stream to the end. A 503 — the previous job has finished but not yet
-// left the queue — is retried.
+// stream to the end, by when the job's place in the queue is free.
 func submitWarm(t *testing.T, h http.Handler, path string, req any) string {
 	t.Helper()
 	body, _ := json.Marshal(req)
-	for {
-		rec := serve(h, http.MethodPost, path, string(body))
-		if rec.Code == http.StatusServiceUnavailable {
-			time.Sleep(time.Millisecond)
-			continue
-		}
-		var st client.Status
-		if rec.Code != http.StatusAccepted || json.Unmarshal(rec.Body.Bytes(), &st) != nil {
-			t.Fatalf("submit: %d %s", rec.Code, rec.Body)
-		}
-		if ev := serve(h, http.MethodGet, "/v1/jobs/"+st.ID+"/events", ""); !strings.Contains(ev.Body.String(), "event: done") {
-			t.Fatalf("job %s did not finish done:\n%s", st.ID, ev.Body)
-		}
-		return st.ID
+	rec := serve(h, http.MethodPost, path, string(body))
+	var st client.Status
+	if rec.Code != http.StatusAccepted || json.Unmarshal(rec.Body.Bytes(), &st) != nil {
+		t.Fatalf("submit: %d %s", rec.Code, rec.Body)
 	}
+	if ev := serve(h, http.MethodGet, "/v1/jobs/"+st.ID+"/events", ""); !strings.Contains(ev.Body.String(), "event: done") {
+		t.Fatalf("job %s did not finish done:\n%s", st.ID, ev.Body)
+	}
+	return st.ID
 }
 
 // liveHeap is the heap still reachable after a full collection.

@@ -213,8 +213,8 @@ func New(opts Options) (*Server, error) {
 func (s *Server) Handler() http.Handler { return s.withObs(s.mux) }
 
 // admit accepts j and starts body on the job's own goroutine. The job
-// counts against QueueDepth until body returns; runs inside it wait
-// only for in-flight slots (Options.InFlight).
+// counts against QueueDepth until it reaches its terminal state; runs
+// inside it wait only for in-flight slots (Options.InFlight).
 func (s *Server) admit(j *queue.Job, body func(*queue.Job) (string, error)) error {
 	if err := s.q.Submit(j); err != nil {
 		return err
@@ -226,7 +226,10 @@ func (s *Server) admit(j *queue.Job, body func(*queue.Job) (string, error)) erro
 	return nil
 }
 
-// runJob executes an admitted job's body and records its outcome.
+// runJob executes an admitted job's body and records its outcome. The
+// job's place frees as Finish moves it to its terminal state, before the
+// terminal event is published; Done, after the "job finished" line, lets
+// Shutdown's drain end.
 func (s *Server) runJob(j *queue.Job, body func(*queue.Job) (string, error)) {
 	defer s.q.Done(j)
 	if err := s.runCtx.Err(); err != nil {

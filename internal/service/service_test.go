@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -263,6 +264,11 @@ func TestSubmitValidation(t *testing.T) {
 			_, err := c.SubmitRun(ctx, client.RunRequest{Workload: "synth:nosuchpreset", System: "PT"})
 			return err
 		}},
+		{"synth task count past the cap", func() error {
+			// width×depth overflows int to 0.
+			_, err := c.SubmitRun(ctx, client.RunRequest{Workload: "synth:chain/width=4611686018427387904/depth=4", System: "PT"})
+			return err
+		}},
 		{"missing trace file", func() error {
 			_, err := c.SubmitRun(ctx, client.RunRequest{Workload: "trace:/does/not/exist.rtf", System: "PT"})
 			return err
@@ -371,6 +377,63 @@ func TestAdmissionCountsUnfinishedJobs(t *testing.T) {
 	s.q.Wait()
 	if err := s.admit(queue.NewJob(s.q.NewID(), "run", "", 1), noop); err != nil {
 		t.Fatalf("submit after the job finished: %v", err)
+	}
+}
+
+// holdFinished is a log handler that holds the first "job finished" line
+// until release is closed, closing held once it holds it.
+type holdFinished struct {
+	once          sync.Once
+	held, release chan struct{}
+}
+
+func (h *holdFinished) Enabled(context.Context, slog.Level) bool { return true }
+func (h *holdFinished) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h *holdFinished) WithGroup(string) slog.Handler            { return h }
+
+func (h *holdFinished) Handle(_ context.Context, r slog.Record) error {
+	if r.Message == "job finished" {
+		h.once.Do(func() {
+			close(h.held)
+			<-h.release
+		})
+	}
+	return nil
+}
+
+// TestFinishedJobFreesItsPlace: a job's place in the queue is free by the
+// time its terminal event is out. While the daemon is still logging that
+// the job finished, a client that has seen it finish reads queue depth 0
+// in /metrics, and at -queue 1 its next submission is admitted, not
+// refused with 503.
+func TestFinishedJobFreesItsPlace(t *testing.T) {
+	h := &holdFinished{held: make(chan struct{}), release: make(chan struct{})}
+	s, c := newTestServer(t, Options{QueueDepth: 1, Logger: slog.New(h)})
+	defer close(h.release)
+	ctx := context.Background()
+	req := client.RunRequest{Workload: "MD5", Scale: 0.05, System: "PT"}
+	st, err := c.SubmitRun(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin, err := c.Wait(ctx, st.ID, nil); err != nil || fin.State != "done" {
+		t.Fatalf("run: %v, %+v", err, fin)
+	}
+	<-h.held
+
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	depth := "no raccd_queue_depth line"
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if strings.HasPrefix(line, "raccd_queue_depth ") {
+			depth = line
+		}
+	}
+	if depth != "raccd_queue_depth 0" {
+		t.Errorf("a finished job still holds its place: %s", depth)
+	}
+	if _, err := c.SubmitRun(ctx, req); err != nil {
+		t.Errorf("submit after the job finished: %v", err)
 	}
 }
 

@@ -227,8 +227,9 @@ func (p Params) check() error {
 	if p.ComputePerBlock < 0 {
 		return fmt.Errorf("synth: %s: compute (%d) must not be negative", p.Preset, p.ComputePerBlock)
 	}
-	if t := p.Width * p.Depth; t > maxTasks {
-		return fmt.Errorf("synth: %s: width×depth = %d tasks exceeds the %d cap", p.Preset, t, maxTasks)
+	// Divide instead of multiplying: width×depth can overflow int.
+	if p.Width > maxTasks/p.Depth {
+		return fmt.Errorf("synth: %s: width×depth = %d×%d tasks exceeds the %d cap", p.Preset, p.Width, p.Depth, maxTasks)
 	}
 	return nil
 }

@@ -147,6 +147,9 @@ func TestParseErrors(t *testing.T) {
 		{"chain/unannotated=1.5", "[0, 1]"},
 		{"readonly/shared=0", "shared"},
 		{"chain/width=2048/depth=2048", "cap"},
+		// width×depth overflows int to 0 on 64-bit hosts.
+		{"chain/width=4611686018427387904/depth=4", "cap"},
+		{"chain/width=4294967296/depth=4294967296", "cap"},
 	}
 	for _, c := range cases {
 		if _, err := synth.Parse(c.spec); err == nil || !strings.Contains(err.Error(), c.want) {
