@@ -75,6 +75,7 @@ type Cache struct {
 	indexShift uint   // block bits dropped before set indexing (bank bits)
 	lines      []Line // sets*ways, laid out set-major
 	plru       PLRU
+	used       Footprint // the sets Insert has filled
 
 	Stats Stats
 }
@@ -99,6 +100,7 @@ func NewBanked(sets, ways int, indexShift uint) *Cache {
 		indexShift: indexShift,
 		lines:      lineArrays.Get(sets * ways),
 		plru:       NewPLRU(sets, ways),
+		used:       NewFootprint(sets),
 	}
 }
 
@@ -180,6 +182,7 @@ func (c *Cache) Insert(b mem.Block) (victim Line, line *Line) {
 		c.Stats.Evictions++
 	}
 	set[way] = Line{Block: b, State: Invalid}
+	c.used.Mark(idx)
 	c.plru.Touch(idx, way)
 	c.Stats.Fills++
 	return victim, &set[way]
@@ -201,16 +204,21 @@ func (c *Cache) Invalidate(b mem.Block) (Line, bool) {
 }
 
 // Walk calls fn for every resident line. fn may mutate the line; setting its
-// State to Invalid removes it. Iteration order is set-major and stable.
+// State to Invalid removes it. Iteration order is set-major and stable. It
+// visits only the sets Insert has filled, so it costs the cache's
+// footprint, not its capacity.
 func (c *Cache) Walk(fn func(*Line)) {
-	for i := range c.lines {
-		if c.lines[i].State != Invalid {
-			fn(&c.lines[i])
+	for s := c.used.Next(0); s >= 0; s = c.used.Next(s + 1) {
+		set := c.set(s)
+		for w := range set {
+			if set[w].State != Invalid {
+				fn(&set[w])
+			}
 		}
 	}
 }
 
-// Resident returns the number of valid lines.
+// Resident returns the number of valid lines, scanning every line.
 func (c *Cache) Resident() int {
 	n := 0
 	for i := range c.lines {

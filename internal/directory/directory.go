@@ -86,6 +86,7 @@ type Directory struct {
 	minSets     int // floor for ADR halving
 	entries     []Entry
 	plru        cache.PLRU
+	used        cache.Footprint // the sets an entry has been installed in
 
 	occupancy int
 	Stats     Stats
@@ -127,6 +128,7 @@ func New(cfg Config) *Directory {
 func (d *Directory) alloc() {
 	d.entries = entryArrays.Get(d.banks * d.setsPerBank * d.ways)
 	d.plru = cache.NewPLRU(d.banks*d.setsPerBank, d.ways)
+	d.used = cache.NewFootprint(d.banks * d.setsPerBank)
 }
 
 // entryArrays holds entry arrays released by finished directories, reused
@@ -224,6 +226,7 @@ func (d *Directory) Allocate(b mem.Block) (victim Entry, entry *Entry) {
 		d.occupancy--
 	}
 	set[way] = Entry{Block: b, Valid: true, Owner: NoOwner}
+	d.used.Mark(idx)
 	d.plru.Touch(idx, way)
 	d.Stats.Allocations++
 	d.occupancy++
@@ -245,19 +248,25 @@ func (d *Directory) Free(b mem.Block) bool {
 	return false
 }
 
-// Clear invalidates every entry (end-of-run drain).
+// Clear invalidates every entry (end-of-run drain). Entries live only in
+// the sets marked in d.used, so it clears those and unmarks them.
 func (d *Directory) Clear() {
-	for i := range d.entries {
-		d.entries[i] = Entry{}
+	for s := d.used.Next(0); s >= 0; s = d.used.Next(s + 1) {
+		clear(d.set(s))
 	}
+	d.used.Reset()
 	d.occupancy = 0
 }
 
-// Walk visits every valid entry.
+// Walk visits every valid entry in set-major order, through the sets an
+// entry has been installed in only.
 func (d *Directory) Walk(fn func(*Entry)) {
-	for i := range d.entries {
-		if d.entries[i].Valid {
-			fn(&d.entries[i])
+	for s := d.used.Next(0); s >= 0; s = d.used.Next(s + 1) {
+		set := d.set(s)
+		for w := range set {
+			if set[w].Valid {
+				fn(&set[w])
+			}
 		}
 	}
 }
@@ -296,32 +305,35 @@ func (d *Directory) Resize(newSetsPerBank int) (dropped []Entry) {
 	// The replaced arrays go to the garbage collector, not the recycler:
 	// an ADR run passes through many sizes, and pooling each of them kept
 	// more memory live than reusing them saved.
-	old := d.entries
+	old, oldUsed := d.entries, d.used
 	d.setsPerBank = newSetsPerBank
 	d.alloc()
 	d.occupancy = 0
 	d.Stats.Resizes++
-	for i := range old {
-		e := old[i]
-		if !e.Valid {
-			continue
-		}
-		idx := d.setIndex(e.Block)
-		set := d.set(idx)
-		placed := false
-		for w := range set {
-			if !set[w].Valid {
-				set[w] = e
-				d.plru.Touch(idx, w)
-				d.occupancy++
-				placed = true
-				break
+	for s := oldUsed.Next(0); s >= 0; s = oldUsed.Next(s + 1) {
+		for _, e := range old[s*d.ways : (s+1)*d.ways] {
+			if e.Valid {
+				dropped = d.replace(e, dropped)
 			}
-		}
-		if !placed {
-			dropped = append(dropped, e)
-			d.Stats.ResizeDrops++
 		}
 	}
 	return dropped
+}
+
+// replace re-installs e after a resize, or appends it to dropped when
+// its new set is full.
+func (d *Directory) replace(e Entry, dropped []Entry) []Entry {
+	idx := d.setIndex(e.Block)
+	set := d.set(idx)
+	for w := range set {
+		if !set[w].Valid {
+			set[w] = e
+			d.used.Mark(idx)
+			d.plru.Touch(idx, w)
+			d.occupancy++
+			return dropped
+		}
+	}
+	d.Stats.ResizeDrops++
+	return append(dropped, e)
 }

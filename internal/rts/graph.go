@@ -6,6 +6,18 @@ import (
 	"raccd/internal/mem"
 )
 
+// Caps on a graph built from outside input, checked before it is built so
+// a request past one is refused instead of built: a synth: spec and a
+// bundled benchmark at a requested scale are held to both, and a trace
+// file's Validate to MaxDepBlocks.
+const (
+	// MaxTasks bounds the tasks of one graph.
+	MaxTasks = 1 << 20
+	// MaxDepBlocks bounds a graph's dependence blocks summed over its
+	// tasks, which the dependence tracking of Add and Validate grows with.
+	MaxDepBlocks = 1 << 24
+)
+
 // Graph is the Task Dependence Graph (TDG): a DAG whose nodes are tasks and
 // whose edges are data dependences discovered from the in/out/inout ranges,
 // exactly as the runtime of a task-based data-flow model builds it when the

@@ -2,6 +2,7 @@ package rts
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -200,16 +201,39 @@ func FuzzGraphAdd(f *testing.F) {
 		dep(false, In, 64, 0),
 		dep(true, InOut, 0, 128),
 	))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		g := NewGraph()
-		for i, deps := range decodeDeps(data) {
-			g.Add(fmt.Sprintf("t%d", i), deps, nil)
+	f.Fuzz(checkGraphAdd)
+}
+
+// TestGraphAddSeeded runs checkGraphAdd, FuzzGraphAdd's body, over a fixed
+// seeded set of generated inputs of up to 48 dependence records: the
+// tier-1 run of the graph fuzzer. Half the records reach at most 8 KiB
+// into the arena, so tasks overlap often; the rest spread over all of it.
+func TestGraphAddSeeded(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 4000; i++ {
+		var data []byte
+		for n := 1 + rng.Intn(48); n > 0; n-- {
+			off := uint16(rng.Intn(1 << 16))
+			if rng.Intn(2) == 0 {
+				off %= 8192
+			}
+			data = append(data, dep(rng.Intn(3) > 0, DepMode(rng.Intn(4)), off, uint16(rng.Intn(1<<15)))...)
 		}
-		if err := DiffReference(g); err != nil {
-			t.Fatal(err)
-		}
-		if err := g.Validate(); err != nil {
-			t.Fatal(err)
-		}
-	})
+		checkGraphAdd(t, data)
+	}
+}
+
+// checkGraphAdd is FuzzGraphAdd's body: it builds the graph data decodes
+// to and checks it against the reference tracker and Validate.
+func checkGraphAdd(t *testing.T, data []byte) {
+	g := NewGraph()
+	for i, deps := range decodeDeps(data) {
+		g.Add(fmt.Sprintf("t%d", i), deps, nil)
+	}
+	if err := DiffReference(g); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -108,7 +108,7 @@ func NewJob(id, kind, trace string, runsTotal int) *Job {
 		created:   time.Now(),
 		notify:    make(chan struct{}),
 	}
-	j.appendLocked("status", map[string]any{"state": StateQueued})
+	j.appendLocked("status", statusData{State: StateQueued, Trace: trace})
 	return j
 }
 
@@ -124,26 +124,43 @@ func (j *Job) Trace() string { return j.trace }
 // Phases returns the job's wall-time phase accumulator.
 func (j *Job) Phases() *obs.Phases { return &j.phases }
 
-// mustJSON marshals values the service itself constructs; a failure is a
-// programming error.
-func mustJSON(v any) json.RawMessage {
-	b, err := json.Marshal(v)
+// The payloads of the four event types. Each carries the job's trace ID,
+// if it has one: SSE writes only the id/event/data lines, so the trace
+// must live inside data to reach the wire. Fields are in sorted key
+// order, so a payload's bytes stay those the service has always written
+// (TestEventPayloadsGolden).
+type (
+	statusData struct {
+		State State  `json:"state"`
+		Trace string `json:"trace,omitempty"`
+	}
+	progressData struct {
+		Index int    `json:"index"`
+		Line  string `json:"line"`
+		Trace string `json:"trace,omitempty"`
+	}
+	doneData struct {
+		ResultURL string `json:"result_url"`
+		Status    Status `json:"status"`
+		Trace     string `json:"trace,omitempty"`
+	}
+	errorData struct {
+		Error  string `json:"error"`
+		Status Status `json:"status"`
+		Trace  string `json:"trace,omitempty"`
+	}
+)
+
+// appendLocked appends an event and wakes all subscribers; the caller
+// holds j.mu (or owns j outright). The notify channel is closed and
+// replaced on every append (broadcast). data is one of the payload types
+// above; failing to encode one is a programming error.
+func (j *Job) appendLocked(typ string, data any) {
+	b, err := json.Marshal(data)
 	if err != nil {
 		panic(fmt.Sprintf("queue: encoding event: %v", err))
 	}
-	return b
-}
-
-// appendLocked appends an event and wakes all subscribers; the caller
-// holds j.mu (or owns j outright). The job's trace ID is injected into
-// the payload (SSE writes only the id/event/data lines, so the trace
-// must live inside data to reach the wire). The notify channel is
-// closed and replaced on every append (broadcast).
-func (j *Job) appendLocked(typ string, data map[string]any) {
-	if j.trace != "" {
-		data["trace"] = j.trace
-	}
-	j.events = append(j.events, Event{ID: len(j.events), Type: typ, Data: mustJSON(data)})
+	j.events = append(j.events, Event{ID: len(j.events), Type: typ, Data: b})
 	close(j.notify)
 	j.notify = make(chan struct{})
 }
@@ -175,14 +192,14 @@ func (j *Job) SetState(s State, errMsg string) {
 	if errMsg != "" {
 		j.err = errMsg
 	}
-	j.appendLocked("status", map[string]any{"state": s})
+	j.appendLocked("status", statusData{State: s, Trace: j.trace})
 	switch s {
 	case StateDone:
-		j.appendLocked("done", map[string]any{"result_url": "/v1/jobs/" + j.id + "/result", "status": j.statusLocked()})
+		j.appendLocked("done", doneData{ResultURL: "/v1/jobs/" + j.id + "/result", Status: j.statusLocked(), Trace: j.trace})
 	case StateFailed:
-		j.appendLocked("error", map[string]any{"error": errMsg, "status": j.statusLocked()})
+		j.appendLocked("error", errorData{Error: errMsg, Status: j.statusLocked(), Trace: j.trace})
 	case StateCanceled:
-		j.appendLocked("error", map[string]any{"error": "job canceled: daemon shutting down", "status": j.statusLocked()})
+		j.appendLocked("error", errorData{Error: "job canceled: daemon shutting down", Status: j.statusLocked(), Trace: j.trace})
 	}
 }
 
@@ -224,7 +241,7 @@ func (j *Job) Progress(line string) {
 		j.tally.ran()
 	}
 	j.runsDone++
-	j.appendLocked("progress", map[string]any{"index": j.runsDone - 1, "line": line})
+	j.appendLocked("progress", progressData{Index: j.runsDone - 1, Line: line, Trace: j.trace})
 }
 
 // EventsSince returns the log tail from index from, the channel that will

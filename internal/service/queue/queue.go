@@ -3,8 +3,8 @@
 // job and a window of the most recently finished ones, and a per-job
 // append-only event log that makes SSE progress streams lossless (see
 // Job). It knows nothing about HTTP or simulations — the service's
-// transport layer admits jobs and runs each one's body on its own
-// goroutine, and the executor layer does the simulating.
+// transport layer admits jobs and runs each one's body on a job runner,
+// and the executor layer does the simulating.
 package queue
 
 import (

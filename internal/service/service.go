@@ -139,6 +139,8 @@ type Server struct {
 
 	q  *queue.Queue
 	ex *exec.Executor
+	// run executes admitted jobs on long-lived runners.
+	run runners
 	// coord executes every run: Remote backends over Options.Workers in
 	// coordinator mode, a single in-process Local backend otherwise.
 	coord *fabric.Coordinator
@@ -212,7 +214,8 @@ func New(opts Options) (*Server, error) {
 // structured log line.
 func (s *Server) Handler() http.Handler { return s.withObs(s.mux) }
 
-// admit accepts j and starts body on the job's own goroutine. The job
+// admit accepts j and hands body to a job runner: an idle one, or a new
+// one when every runner is busy, so the job starts at once. The job
 // counts against QueueDepth until it reaches its terminal state; runs
 // inside it wait only for in-flight slots (Options.InFlight).
 func (s *Server) admit(j *queue.Job, body func(*queue.Job) (string, error)) error {
@@ -222,7 +225,7 @@ func (s *Server) admit(j *queue.Job, body func(*queue.Job) (string, error)) erro
 	s.log.Info("job accepted",
 		"job", j.ID(), "trace", j.Trace(), "kind", j.Kind(),
 		"runs", j.Status().RunsTotal, "queue_depth", s.q.Depth())
-	go s.runJob(j, body)
+	s.run.run(func() { s.runJob(j, body) })
 	return nil
 }
 
@@ -273,8 +276,9 @@ func (s *Server) executeJob(j *queue.Job, body func(*queue.Job) (string, error))
 // deadline passes, remaining jobs are cancelled — every simulation
 // already in flight aborts at its next task dispatch (sim.RunContext),
 // runs waiting for an in-flight slot never start, and jobs that have not
-// started are marked canceled. It returns nil on a clean drain, or ctx's
-// error when the deadline forced cancellation.
+// started are marked canceled. Once the drain ends, the idle job runners
+// stop. It returns nil on a clean drain, or ctx's error when the deadline
+// forced cancellation.
 func (s *Server) Shutdown(ctx context.Context) error {
 	if s.q.Close() != nil {
 		return errors.New("service: already shut down")
@@ -297,6 +301,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		<-done        // jobs observe cancellation promptly
 	}
 	s.cancelRun()
+	s.run.stop()
 	return err
 }
 
@@ -490,7 +495,9 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 
 // handleEvents streams the job's event log as SSE: history first, then
 // live appends, ending after the terminal event. ?after=<id> resumes past
-// already-seen events.
+// already-seen events. A stream that reaches a finished job ends without
+// a flush of its own, so a job already finished when asked gets its
+// whole stream in one write.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.lookup(w, r)
 	if !ok {
@@ -520,17 +527,14 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", e.ID, e.Type, e.Data)
 		}
 		from += len(evs)
+		if finished {
+			// A job's terminal events are logged under the lock that
+			// makes it finished, so evs ended with them.
+			return
+		}
 		if err := fl.Flush(); err != nil {
 			// Streaming unsupported or the client hung up mid-write.
 			return
-		}
-		if finished && len(evs) == 0 {
-			return
-		}
-		if finished {
-			// Emit whatever arrived with the terminal transition, then
-			// re-check for a clean exit.
-			continue
 		}
 		select {
 		case <-more:

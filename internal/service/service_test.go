@@ -269,6 +269,14 @@ func TestSubmitValidation(t *testing.T) {
 			_, err := c.SubmitRun(ctx, client.RunRequest{Workload: "synth:chain/width=4611686018427387904/depth=4", System: "PT"})
 			return err
 		}},
+		{"synth blocks past the cap", func() error {
+			_, err := c.SubmitRun(ctx, client.RunRequest{Workload: "synth:chain/blocks=1000000000000", System: "PT"})
+			return err
+		}},
+		{"scale past the benchmark's cap", func() error {
+			_, err := c.SubmitRun(ctx, client.RunRequest{Workload: "Jacobi", System: "PT", Scale: 1e9})
+			return err
+		}},
 		{"missing trace file", func() error {
 			_, err := c.SubmitRun(ctx, client.RunRequest{Workload: "trace:/does/not/exist.rtf", System: "PT"})
 			return err

@@ -42,8 +42,6 @@ const (
 
 	// maxNameLen bounds workload and task name strings on the wire.
 	maxNameLen = 1 << 16
-	// maxValidateBlocks bounds the dependence-tracking work Validate does.
-	maxValidateBlocks = 1 << 24
 )
 
 // OpKind is the type of one access-stream operation: the low two bits of
@@ -188,8 +186,8 @@ func (t *Trace) Validate() error {
 		for _, d := range t.tasks[i].deps {
 			blocks += d.Range.NumBlocks()
 		}
-		if blocks > maxValidateBlocks {
-			return fmt.Errorf("tracefile: more than %d dependence blocks; too large to validate", maxValidateBlocks)
+		if blocks > rts.MaxDepBlocks {
+			return fmt.Errorf("tracefile: more than %d dependence blocks; too large to validate", rts.MaxDepBlocks)
 		}
 	}
 	g := rts.NewGraph()

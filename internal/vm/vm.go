@@ -44,7 +44,7 @@ type PageTable struct {
 	// Linux behaviour the paper reports; lower values fragment the
 	// physical layout and force multi-interval NCRT registrations.
 	contiguity float64
-	rng        *rand.Rand
+	rng        *rand.Rand // nil unless contiguity < 1, the only case allocate draws
 
 	// Faults counts demand (first-touch) page allocations.
 	Faults uint64
@@ -60,11 +60,11 @@ type PageTable struct {
 // places pages contiguously with the given probability. seed makes the
 // fragmented layout deterministic.
 func NewPageTable(contiguity float64, seed int64) *PageTable {
-	return &PageTable{
-		next:       16,
-		contiguity: contiguity,
-		rng:        rand.New(rand.NewSource(seed)),
+	pt := &PageTable{next: 16, contiguity: contiguity}
+	if contiguity < 1.0 {
+		pt.rng = rand.New(rand.NewSource(seed))
 	}
+	return pt
 }
 
 // Translate returns the physical page for virtual page vp, faulting it in on

@@ -26,9 +26,6 @@ import (
 // workloads registry routes "synth:..." names here).
 const Prefix = "synth:"
 
-// maxTasks bounds a single generated graph.
-const maxTasks = 1 << 20
-
 // Params selects and sizes one synthetic workload.
 type Params struct {
 	// Preset is the graph shape: chain, forkjoin, stencil, migratory,
@@ -197,6 +194,12 @@ func (p Params) Scaled(scale float64) Params {
 	if scale == 1 || scale <= 0 {
 		return p
 	}
+	if scale > float64(rts.MaxTasks)/float64(p.Depth) {
+		// Past the task cap, where the product can overflow int: New
+		// and check refuse the depth this leaves.
+		p.Depth = rts.MaxTasks + 1
+		return p
+	}
 	d := int(float64(p.Depth) * scale)
 	if d < 1 {
 		d = 1
@@ -227,9 +230,16 @@ func (p Params) check() error {
 	if p.ComputePerBlock < 0 {
 		return fmt.Errorf("synth: %s: compute (%d) must not be negative", p.Preset, p.ComputePerBlock)
 	}
-	// Divide instead of multiplying: width×depth can overflow int.
-	if p.Width > maxTasks/p.Depth {
-		return fmt.Errorf("synth: %s: width×depth = %d×%d tasks exceeds the %d cap", p.Preset, p.Width, p.Depth, maxTasks)
+	// Divide instead of multiplying: the products can overflow int.
+	if p.Width > rts.MaxTasks/p.Depth {
+		return fmt.Errorf("synth: %s: width×depth = %d×%d tasks exceeds the %d cap", p.Preset, p.Width, p.Depth, rts.MaxTasks)
+	}
+	// Each task declares its own blocks and, in readonly and mixed, reads
+	// the shared table.
+	perTask := rts.MaxDepBlocks / (p.Width * p.Depth)
+	if p.BlocksPerTask > perTask || p.SharedBlocks > perTask-p.BlocksPerTask {
+		return fmt.Errorf("synth: %s: %d tasks × (%d blocks + %d shared) exceeds the %d dependence-block cap",
+			p.Preset, p.Width*p.Depth, p.BlocksPerTask, p.SharedBlocks, rts.MaxDepBlocks)
 	}
 	return nil
 }

@@ -150,6 +150,12 @@ func TestParseErrors(t *testing.T) {
 		// width×depth overflows int to 0 on 64-bit hosts.
 		{"chain/width=4611686018427387904/depth=4", "cap"},
 		{"chain/width=4294967296/depth=4294967296", "cap"},
+		// Blocks per task past the dependence-block cap, including
+		// counts whose product with the task count overflows int.
+		{"chain/blocks=1000000000000", "dependence-block cap"},
+		{"chain/blocks=9223372036854775807", "dependence-block cap"},
+		{"chain/width=1024/depth=1024/blocks=17", "dependence-block cap"},
+		{"readonly/shared=9223372036854775807", "dependence-block cap"},
 	}
 	for _, c := range cases {
 		if _, err := synth.Parse(c.spec); err == nil || !strings.Contains(err.Error(), c.want) {

@@ -111,19 +111,43 @@ func scaled(def uint64, scale float64, min uint64) uint64 {
 	return v
 }
 
-// registry maps benchmark names to constructors taking a scale factor
-// (1.0 = the ÷16 Table II default; tests use smaller factors).
-var registry = map[string]func(scale float64) Workload{
-	"CG":       NewCG,
-	"Gauss":    NewGauss,
-	"Histo":    NewHisto,
-	"Jacobi":   NewJacobi,
-	"JPEG":     NewJPEG,
-	"Kmeans":   NewKmeans,
-	"KNN":      NewKNN,
-	"MD5":      NewMD5,
-	"RedBlack": NewRedBlack,
-	"Cholesky": NewCholesky,
+// benchmark is a registered benchmark: its constructor, taking a scale
+// factor (1.0 = the ÷16 Table II default; tests use smaller factors), and
+// the largest scale it builds at. Up to maxScale its graph stays within
+// rts.MaxTasks tasks and rts.MaxDepBlocks dependence blocks
+// (TestMaxScaleWithinCaps builds each at its cap). Every benchmark but
+// Cholesky grows linearly with the scale; Cholesky's tasks grow with its
+// cube.
+type benchmark struct {
+	build    func(scale float64) Workload
+	maxScale float64
+}
+
+// registry maps each benchmark name to its constructor and scale cap.
+var registry = map[string]benchmark{
+	"CG":       {NewCG, 64},
+	"Gauss":    {NewGauss, 64},
+	"Histo":    {NewHisto, 64},
+	"Jacobi":   {NewJacobi, 64},
+	"JPEG":     {NewJPEG, 64},
+	"Kmeans":   {NewKmeans, 64},
+	"KNN":      {NewKNN, 64},
+	"MD5":      {NewMD5, 64},
+	"RedBlack": {NewRedBlack, 64},
+	"Cholesky": {NewCholesky, 4},
+}
+
+// lookup returns the benchmark registered as name, checking that it builds
+// at scale.
+func lookup(name string, scale float64) (benchmark, error) {
+	b, ok := registry[name]
+	if !ok {
+		return benchmark{}, fmt.Errorf("workloads: unknown benchmark %q (have %v)", name, Names())
+	}
+	if scale > b.maxScale {
+		return benchmark{}, fmt.Errorf("workloads: %s at scale %g: the largest scale it builds at is %g", name, scale, b.maxScale)
+	}
+	return b, nil
 }
 
 // PaperSet is the nine benchmarks of the paper's evaluation, in the order
@@ -180,11 +204,11 @@ func Get(name string, scale float64) (Workload, error) {
 		}
 		return New(t.Name(), t.Build), nil
 	}
-	f, ok := registry[name]
-	if !ok {
-		return Workload{}, fmt.Errorf("workloads: unknown benchmark %q (have %v)", name, Names())
+	b, err := lookup(name, scale)
+	if err != nil {
+		return Workload{}, err
 	}
-	return f(scale), nil
+	return b.build(scale), nil
 }
 
 // Identity returns the canonical identity of the task graph that
@@ -223,7 +247,12 @@ func resolve(name string, scale float64) (id, row string, err error) {
 		if err != nil {
 			return "", "", err
 		}
-		return p.Scaled(scale).Name(), p.Name(), nil
+		// The scaled graph is the one Get builds; it must pass the caps too.
+		sw, err := synth.New(p.Scaled(scale))
+		if err != nil {
+			return "", "", err
+		}
+		return sw.Name(), p.Name(), nil
 	}
 	if path, ok := strings.CutPrefix(name, TracePrefix); ok {
 		t, err := tracefile.ReadFile(path)
@@ -234,8 +263,8 @@ func resolve(name string, scale float64) (id, row string, err error) {
 		_ = tracefile.Encode(h, t) // a hash.Hash never fails a Write
 		return fmt.Sprintf("trace:%s/sha=%x", t.Name(), h.Sum(nil)[:12]), t.Name(), nil
 	}
-	if _, ok := registry[name]; !ok {
-		return "", "", fmt.Errorf("workloads: unknown benchmark %q (have %v)", name, Names())
+	if _, err := lookup(name, scale); err != nil {
+		return "", "", err
 	}
 	return fmt.Sprintf("bench:%s/scale=%s", name, strconv.FormatFloat(scale, 'g', -1, 64)), name, nil
 }

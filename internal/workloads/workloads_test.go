@@ -269,6 +269,45 @@ func TestBadScaleRejected(t *testing.T) {
 	}
 }
 
+// TestMaxScaleWithinCaps: every bundled benchmark built at its scale cap
+// stays within the task and dependence-block caps, and any larger scale
+// builds no graph and has no identity. A synth spec whose scaled depth
+// passes the task cap, or whose product with the scale would overflow
+// int, is refused the same way.
+func TestMaxScaleWithinCaps(t *testing.T) {
+	for _, name := range Names() {
+		top := registry[name].maxScale
+		g := rts.NewGraph()
+		MustGet(name, top).Build(g)
+		var blocks uint64
+		for _, task := range g.Tasks() {
+			for _, d := range task.Deps {
+				blocks += d.Range.NumBlocks()
+			}
+		}
+		if g.NumTasks() > rts.MaxTasks || blocks > rts.MaxDepBlocks {
+			t.Errorf("%s at scale %g: %d tasks, %d dependence blocks; caps %d and %d",
+				name, top, g.NumTasks(), blocks, rts.MaxTasks, rts.MaxDepBlocks)
+		}
+		for _, scale := range []float64{math.Nextafter(top, math.Inf(1)), 1e9} {
+			if _, err := Get(name, scale); err == nil || !strings.Contains(err.Error(), "largest scale") {
+				t.Errorf("Get(%q, %g) error = %v; want the scale cap", name, scale, err)
+			}
+			if id, err := Identity(name, scale); err == nil || !strings.Contains(err.Error(), "largest scale") {
+				t.Errorf("Identity(%q, %g) = %q, %v; want the scale cap", name, scale, id, err)
+			}
+		}
+	}
+	for _, scale := range []float64{1e5, 1e30, math.MaxFloat64} {
+		if _, err := Get("synth:chain", scale); err == nil || !strings.Contains(err.Error(), "cap") {
+			t.Errorf("Get(synth:chain, %g) error = %v; want the task cap", scale, err)
+		}
+		if id, err := Identity("synth:chain", scale); err == nil || !strings.Contains(err.Error(), "cap") {
+			t.Errorf("Identity(synth:chain, %g) = %q, %v; want the task cap", scale, id, err)
+		}
+	}
+}
+
 // Identity is the workload half of the resultstore cache key.
 func TestIdentityNamespaces(t *testing.T) {
 	// Benchmarks: scale is part of the identity.
