@@ -17,13 +17,17 @@ import (
 //   - calling time.Now or os.Getenv/os.Environ/os.LookupEnv (a host
 //     wall-clock artifact, should one ever be needed, is set outside the
 //     metric path and annotated);
+//   - a go statement, or a call to runtime.GOMAXPROCS or runtime.NumCPU:
+//     one simulation runs on one goroutine, and runs fan out above
+//     sim-core (internal/runner), so nothing in it spreads work over
+//     host CPUs or depends on how many there are;
 //   - a field of sim.Result whose name ends in "Seconds" (say, a
 //     WallSeconds host measurement) without a `json:"-"` tag: host wall
 //     times must never enter a cached result object, or a cache hit
 //     would replay another host's timings.
 var DetSource = &Analyzer{
 	Name:      "detsource",
-	Doc:       "host-nondeterminism sources (clock, env, randomness) in sim-core",
+	Doc:       "host-nondeterminism sources (clock, env, randomness, goroutines) in sim-core",
 	Directive: "detsource-ok",
 	Applies:   isSimCore,
 	Run:       runDetSource,
@@ -49,6 +53,11 @@ func runDetSource(pass *Pass) error {
 			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
+			if g, ok := n.(*ast.GoStmt); ok {
+				pass.Report(g.Pos(),
+					"go statement in sim-core package %s: one simulation runs on one goroutine — fan runs out above sim-core (internal/runner)", pass.Path)
+				return true
+			}
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
@@ -62,6 +71,10 @@ func runDetSource(pass *Pass) error {
 					pass.Report(call.Pos(),
 						"%s.%s in sim-core package %s: results must not depend on the host clock or environment — set host artifacts outside the metric path and annotate //raccd:detsource-ok <reason>", pkg, fn, pass.Path)
 				}
+			}
+			if pkg == "runtime" && (fn == "GOMAXPROCS" || fn == "NumCPU") {
+				pass.Report(call.Pos(),
+					"%s.%s in sim-core package %s: one simulation runs on one goroutine, whatever the host's CPU count — fan runs out above sim-core (internal/runner)", pkg, fn, pass.Path)
 			}
 			return true
 		})

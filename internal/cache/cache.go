@@ -104,14 +104,20 @@ func NewBanked(sets, ways int, indexShift uint) *Cache {
 	}
 }
 
-// lineArrays holds line arrays released by finished caches, reused by the
-// next cache of the same geometry.
+// lineArrays holds line arrays released by finished caches, all zero,
+// reused by the next cache of the same geometry.
 var lineArrays mem.Recycler[Line]
 
-// Release hands the cache's line array to the next cache built with the
-// same geometry. A later lookup or fill panics rather than touch an array
-// another cache may now own.
+// Release clears the sets Insert has filled, which hold every line the
+// cache ever wrote, and hands the zeroed line array to the next cache
+// built with the same geometry: a run pays for its footprint, not for the
+// cache's capacity. A later lookup or fill panics rather than touch an
+// array another cache may now own.
 func (c *Cache) Release() {
+	for s := c.used.Next(0); s >= 0; s = c.used.Next(s + 1) {
+		clear(c.set(s))
+	}
+	c.used.Reset()
 	lineArrays.Put(c.lines)
 	c.lines = nil
 }

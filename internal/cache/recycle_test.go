@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -78,5 +79,44 @@ func TestRecycledCacheMatchesFresh(t *testing.T) {
 	}
 	if !reused {
 		t.Fatal("no cache reused a released array in 100 tries")
+	}
+}
+
+// TestReleasedLinesAreZero: whatever a cache wrote, through seeded random
+// fills, hits, invalidations and walks that change or drop lines, Release
+// hands back a line array that is all zero, as the recycler requires of
+// every array it takes.
+func TestReleasedLinesAreZero(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 50; round++ {
+		c := NewBanked(16, 4, uint(rng.Intn(3)))
+		for i := rng.Intn(4 * c.Capacity()); i > 0; i-- {
+			b := mem.Block(rng.Intn(512))
+			switch rng.Intn(8) {
+			case 0:
+				c.Invalidate(b)
+			case 1:
+				c.Walk(func(ln *Line) {
+					ln.Dirty = true
+					if rng.Intn(4) == 0 {
+						ln.State = Invalid // dropped, as a drain drops it: the rest stays
+					}
+				})
+			default:
+				if ln, hit := c.Lookup(b); hit {
+					ln.Val = rng.Uint64()
+					continue
+				}
+				_, ln := c.Insert(b)
+				*ln = Line{Block: b, State: Modified, Dirty: true, NC: rng.Intn(2) == 0, Thread: uint8(rng.Intn(4)), Val: rng.Uint64()}
+			}
+		}
+		lines := c.lines
+		c.Release()
+		for i, ln := range lines {
+			if ln != (Line{}) {
+				t.Fatalf("round %d: released line %d is %+v, want zero", round, i, ln)
+			}
+		}
 	}
 }

@@ -251,7 +251,10 @@ type Hierarchy struct {
 	Stats Stats
 }
 
-// New builds a hierarchy in the given mode.
+// New builds a hierarchy in the given mode, one tile after another on the
+// caller's goroutine. Its cache and directory arrays are those a released
+// hierarchy of the same geometry handed back, when there are any, and
+// start empty either way.
 func New(mode Mode, p Params) *Hierarchy {
 	h := &Hierarchy{
 		Mode:      mode,
@@ -273,10 +276,7 @@ func New(mode Mode, p Params) *Hierarchy {
 	if mode == RaCCD {
 		h.ncrts = make([]*core.NCRT, p.Cores)
 	}
-	// A tile's structures are a deterministic function of (i, p) and touch
-	// nothing shared, so big machines construct their tiles across host
-	// CPUs; order cannot affect results.
-	parallelTiles(p.Cores, func(i int) {
+	for i := 0; i < p.Cores; i++ {
 		h.l1[i] = cache.New(p.L1Sets, p.L1Ways)
 		h.llc[i] = cache.NewBanked(p.LLCSetsPerBank, p.LLCWays, bankBits)
 		h.mmus[i] = vm.NewMMU(i, p.TLBEntries, h.pageTable)
@@ -285,17 +285,18 @@ func New(mode Mode, p Params) *Hierarchy {
 			n.LookupCycles = p.NCRTLookupCycles
 			h.ncrts[i] = n
 		}
-	})
+	}
 	if mode == PT || mode == PTRO {
 		h.classifier = classify.New(mode == PTRO)
 	}
 	return h
 }
 
-// Release hands the L1, LLC and directory arrays to the next hierarchy
-// built with the same geometry, so back-to-back runs reuse them. Call it
-// once the run's metrics are collected: any later access panics rather
-// than touch arrays another run may now own.
+// Release clears the L1, LLC and directory arrays of what the run wrote
+// and hands them to the next hierarchy built with the same geometry, so
+// back-to-back runs reuse them. Call it once the run's metrics are
+// collected: any later access panics rather than touch arrays another
+// run may now own.
 func (h *Hierarchy) Release() {
 	for i := range h.l1 {
 		h.l1[i].Release()

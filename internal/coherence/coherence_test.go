@@ -565,6 +565,19 @@ func TestQuickRaCCDDirQuiescent(t *testing.T) {
 	}
 }
 
+// TestNewPanicsOnCallersGoroutine: a geometry the caches reject panics
+// where the caller can recover it instead of ending the process.
+func TestNewPanicsOnCallersGoroutine(t *testing.T) {
+	p := DefaultParams()
+	p.LLCWays = 3
+	defer func() {
+		if got := recover(); got == nil || !strings.Contains(fmt.Sprint(got), "3 ways") {
+			t.Fatalf("recovered %v, want the LLC geometry panic", got)
+		}
+	}()
+	New(FullCoh, p)
+}
+
 // TestReleasedHierarchyPanics: once Release has handed a hierarchy's
 // arrays to the next run, its next access panics instead of touching
 // them.

@@ -83,25 +83,10 @@ func (h *Hierarchy) InvalidateNCT(c, tid int) (latency uint64) {
 	return latency
 }
 
-// MigrateThread models the OS moving hardware thread tid from core src to
-// core dst (§III-E): the thread's NCRT entries move to the destination
-// core's NCRT and its non-coherent data is invalidated from the source
-// core's private cache with the raccd_invalidate mechanism.
-func (h *Hierarchy) MigrateThread(tid, src, dst int) (latency uint64) {
-	if h.Mode != RaCCD || src == dst {
-		return 0
-	}
-	ivs := h.ncrts[src].Take(tid)
-	latency = h.flushNC(src, tid)
-	h.ncrts[dst].Put(tid, ivs)
-	latency += h.mesh.Send(src, dst, noc.Ctrl)
-	return latency
-}
-
-// flushNC is the NC-line walk of raccd_invalidate, behind InvalidateNCT
-// and MigrateThread: it flushes thread tid's NC lines from core c's
-// private cache and returns its cost, one cycle per line walked (a
-// sequential traversal) plus an L1 access per dirty line written back.
+// flushNC is the NC-line walk of raccd_invalidate, behind InvalidateNCT:
+// it flushes thread tid's NC lines from core c's private cache and
+// returns its cost, one cycle per line walked (a sequential traversal)
+// plus an L1 access per dirty line written back.
 func (h *Hierarchy) flushNC(c, tid int) (latency uint64) {
 	latency = uint64(h.l1[c].Capacity())
 	h.l1[c].Walk(func(ln *cache.Line) {

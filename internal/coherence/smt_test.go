@@ -1,8 +1,7 @@
 package coherence
 
-// Tests for the §III-E SMT and thread-migration extensions: NCRT entries
-// tagged with hardware thread IDs, per-line NC thread bits, selective
-// per-thread recovery, and NCRT migration when the OS moves a thread.
+// Tests for the §III-E SMT extension: NCRT entries tagged with hardware
+// thread IDs, per-line NC thread bits and selective per-thread recovery.
 
 import (
 	"testing"
@@ -84,83 +83,5 @@ func TestSMTSharedNCRTCapacity(t *testing.T) {
 	}
 	if h.NCRT(0).Stats.Overflows == 0 {
 		t.Skip("allocator produced contiguous pages; no overflow to observe")
-	}
-}
-
-func TestMigrateThreadMovesNCRT(t *testing.T) {
-	h := tiny(RaCCD)
-	h.RegisterRegionT(0, 1, mem.Range{Start: 0x8000, Size: 4096})
-	h.AccessT(0, 1, 0x8000, true, 42)
-
-	lat := h.MigrateThread(1, 0, 2)
-	if lat == 0 {
-		t.Fatal("migration cost no cycles")
-	}
-	// Source: no NC lines of thread 1 left, NCRT entries gone.
-	if h.L1(0).ResidentNC() != 0 {
-		t.Fatal("source L1 still holds the migrated thread's NC data")
-	}
-	pa, _ := h.MMU(0).Translate(0x8000)
-	if nc, _ := h.NCRT(0).Lookup(pa, 1); nc {
-		t.Fatal("source NCRT still maps the migrated thread's region")
-	}
-	// Destination: region non-coherent WITHOUT re-registering.
-	before := h.Stats.NCFills
-	h.AccessT(2, 1, 0x8040, false, 0)
-	if h.Stats.NCFills != before+1 {
-		t.Fatal("destination access after migration was not non-coherent")
-	}
-	// Dirty data written at the source must be visible at the destination.
-	h.AccessT(2, 1, 0x8000, false, 0)
-	ln, ok := h.L1(2).Peek(mem.BlockOf(pa))
-	if !ok || ln.Val != 42 {
-		t.Fatalf("migrated thread read %v, want 42", ln)
-	}
-	mustOK(t, h)
-}
-
-func TestMigrateThreadLeavesOtherThreadsAlone(t *testing.T) {
-	h := tiny(RaCCD)
-	h.RegisterRegionT(0, 0, mem.Range{Start: 0x8000, Size: 64})
-	h.RegisterRegionT(0, 1, mem.Range{Start: 0x20000, Size: 64})
-	h.AccessT(0, 0, 0x8000, true, 1)
-	h.AccessT(0, 1, 0x20000, true, 2)
-	h.MigrateThread(1, 0, 3)
-	// Thread 0's line and NCRT entry stay on core 0.
-	pa0, _ := h.MMU(0).Translate(0x8000)
-	if _, ok := h.L1(0).Peek(mem.BlockOf(pa0)); !ok {
-		t.Fatal("thread 0's NC line flushed by thread 1's migration")
-	}
-	if nc, _ := h.NCRT(0).Lookup(pa0, 0); !nc {
-		t.Fatal("thread 0's NCRT entry lost in migration")
-	}
-}
-
-func TestMigrateThreadNoOpCases(t *testing.T) {
-	h := tiny(RaCCD)
-	if h.MigrateThread(0, 1, 1) != 0 {
-		t.Fatal("same-core migration should be free")
-	}
-	hf := tiny(FullCoh)
-	if hf.MigrateThread(0, 0, 1) != 0 {
-		t.Fatal("migration in non-RaCCD mode should be a no-op")
-	}
-}
-
-func TestNCRTIntervalsOfAndTake(t *testing.T) {
-	h := tiny(RaCCD)
-	h.RegisterRegionT(0, 0, mem.Range{Start: 0x8000, Size: 64})
-	h.RegisterRegionT(0, 1, mem.Range{Start: 0x20000, Size: 64})
-	n := h.NCRT(0)
-	if len(n.IntervalsOf(0)) != 1 || len(n.IntervalsOf(1)) != 1 {
-		t.Fatalf("per-thread interval counts wrong: %d/%d", len(n.IntervalsOf(0)), len(n.IntervalsOf(1)))
-	}
-	taken := n.Take(1)
-	if len(taken) != 1 || n.Len() != 1 {
-		t.Fatalf("Take removed wrong entries: took %d, left %d", len(taken), n.Len())
-	}
-	n.Put(1, taken)
-	if n.Len() != 2 {
-		t.Fatalf("Put did not restore entry: %d", n.Len())
 	}
 }

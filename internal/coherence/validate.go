@@ -59,7 +59,11 @@ func (h *Hierarchy) NonCoherentFraction() float64 {
 // --- invariant checking (used by tests) ---
 
 // CheckInvariants verifies the protocol invariants described in the package
-// comment. It is O(total lines) and intended for tests.
+// comment: SWMR over the coherent L1 copies, then inclusion through the
+// L1s, the LLC banks and the directory, in that order, and returns the
+// first violation it meets. Its walks visit only the sets the caches and
+// the directory have filled, so it costs the run's footprint. Validating
+// runs (sim.Config.Validate) call it once their last task is done.
 func (h *Hierarchy) CheckInvariants() error {
 	// SWMR: at most one M/E copy per block; M/E excludes S copies. The
 	// coherent L1 copies go into one slice, sorted so that each block's
@@ -98,12 +102,9 @@ func (h *Hierarchy) CheckInvariants() error {
 		}
 	}
 	// Inclusion: coherent L1 line ⇒ LLC line ⇒ directory entry; NC lines
-	// have no directory entry. These walks only Peek (no LRU updates, no
-	// counters), so each tile checks in parallel; the first error in tile
-	// order is reported, keeping the result deterministic.
-	l1Errs := make([]error, len(h.l1))
-	parallelTiles(len(h.l1), func(c int) {
-		var err error
+	// have no directory entry. The first error in tile order is reported.
+	var err error
+	for c := range h.l1 {
 		h.l1[c].Walk(func(ln *cache.Line) {
 			if err != nil || ln.NC {
 				return
@@ -117,16 +118,11 @@ func (h *Hierarchy) CheckInvariants() error {
 				err = fmt.Errorf("coherent L1 line %d (core %d) missing from directory", ln.Block, c)
 			}
 		})
-		l1Errs[c] = err
-	})
-	for _, err := range l1Errs {
 		if err != nil {
 			return err
 		}
 	}
-	llcErrs := make([]error, len(h.llc))
-	parallelTiles(len(h.llc), func(bank int) {
-		var err error
+	for bank := range h.llc {
 		h.llc[bank].Walk(func(ln *cache.Line) {
 			if err != nil {
 				return
@@ -139,15 +135,11 @@ func (h *Hierarchy) CheckInvariants() error {
 				err = fmt.Errorf("coherent LLC line %d has no directory entry", ln.Block)
 			}
 		})
-		llcErrs[bank] = err
-	})
-	for _, err := range llcErrs {
 		if err != nil {
 			return err
 		}
 	}
 	// Directory entries must correspond to LLC-resident blocks.
-	var err error
 	h.dir.Walk(func(e *directory.Entry) {
 		if err != nil {
 			return

@@ -67,17 +67,6 @@ func (n *NCRT) Intervals() []mem.Interval {
 	return out
 }
 
-// IntervalsOf returns the intervals registered by one hardware thread.
-func (n *NCRT) IntervalsOf(tid int) []mem.Interval {
-	var out []mem.Interval
-	for _, e := range n.intervals {
-		if e.tid == tid {
-			out = append(out, e.iv)
-		}
-	}
-	return out
-}
-
 // Lookup reports whether physical address pa falls in a region registered by
 // hardware thread tid, and the cycles the probe cost.
 func (n *NCRT) Lookup(pa mem.Addr, tid int) (nc bool, cycles uint64) {
@@ -132,23 +121,6 @@ func (n *NCRT) Clear(tid int) {
 	}
 	n.intervals = out
 	n.Stats.Clears++
-}
-
-// Take removes and returns the entries of one hardware thread, used when
-// the OS migrates the thread to another core (§III-E): the entries must
-// move to the destination core's NCRT.
-func (n *NCRT) Take(tid int) []mem.Interval {
-	ivs := n.IntervalsOf(tid)
-	n.Clear(tid)
-	return ivs
-}
-
-// Put inserts pre-translated intervals for tid (the destination side of a
-// migration). Intervals that do not fit are dropped, like any overflow.
-func (n *NCRT) Put(tid int, ivs []mem.Interval) {
-	for _, iv := range ivs {
-		n.insert(iv, tid)
-	}
 }
 
 // Register implements the raccd_register instruction for one task dependence

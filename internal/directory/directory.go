@@ -131,14 +131,16 @@ func (d *Directory) alloc() {
 	d.used = cache.NewFootprint(d.banks * d.setsPerBank)
 }
 
-// entryArrays holds entry arrays released by finished directories, reused
-// by the next directory built or resized to the same size.
+// entryArrays holds entry arrays released by finished directories, all
+// zero, reused by the next directory built or resized to the same size.
 var entryArrays mem.Recycler[Entry]
 
-// Release hands the directory's entry array to the next directory built
-// with the same geometry. A later lookup or allocation panics rather than
-// touch an array another directory may now own.
+// Release clears the directory (Clear visits only the sets an entry was
+// installed in) and hands the zeroed entry array to the next directory
+// built with the same geometry. A later lookup or allocation panics
+// rather than touch an array another directory may now own.
 func (d *Directory) Release() {
+	d.Clear()
 	entryArrays.Put(d.entries)
 	d.entries = nil
 }

@@ -1,6 +1,7 @@
 package directory
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -89,6 +90,43 @@ func TestRecycledDirectoryMatchesFresh(t *testing.T) {
 		}
 		if !reused {
 			t.Errorf("%+v: no directory reused a released array in 100 tries", cfg)
+		}
+	}
+}
+
+// TestReleasedEntriesAreZero: whatever a directory wrote, through seeded
+// random allocations, hits, frees, ADR resizes and walks that change
+// entries, Release hands back an entry array that is all zero, as the
+// recycler requires of every array it takes.
+func TestReleasedEntriesAreZero(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 50; round++ {
+		d := New(Config{Banks: 4, Ways: 4, SetsPerBank: 16, MinSets: 1})
+		for i := rng.Intn(4 * d.MaxCapacity()); i > 0; i-- {
+			b := mem.Block(rng.Intn(1024))
+			switch rng.Intn(16) {
+			case 0:
+				d.Resize(1 << rng.Intn(5))
+			case 1, 2:
+				d.Free(b)
+			case 3:
+				d.Walk(func(e *Entry) { e.AddSharer(rng.Intn(64)) })
+			default:
+				if e, hit := d.Lookup(b); hit {
+					e.AddSharer(rng.Intn(64))
+					continue
+				}
+				_, e := d.Allocate(b)
+				e.AddSharer(rng.Intn(64))
+				e.Owner = rng.Intn(64)
+			}
+		}
+		entries := d.entries
+		d.Release()
+		for i, e := range entries {
+			if e != (Entry{}) {
+				t.Fatalf("round %d: released entry %d is %+v, want zero", round, i, e)
+			}
 		}
 	}
 }

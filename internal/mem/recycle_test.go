@@ -3,7 +3,8 @@ package mem
 import "testing"
 
 // TestRecyclerReturnsZeroedSliceOfLength: Get(n) returns exactly n zeroed
-// elements, whether it reuses a released slice or allocates.
+// elements, whether it allocates or hands back a slice released zeroed,
+// as Put requires.
 func TestRecyclerReturnsZeroedSliceOfLength(t *testing.T) {
 	var r Recycler[uint64]
 	reused := false
@@ -11,8 +12,13 @@ func TestRecyclerReturnsZeroedSliceOfLength(t *testing.T) {
 	// GC, and at random under -race), so retry until one is reused.
 	for try := 0; try < 100 && !reused; try++ {
 		s := r.Get(8)
-		for i := range s {
-			s[i] = ^uint64(0)
+		if len(s) != 8 {
+			t.Fatalf("Get(8) returned %d elements", len(s))
+		}
+		for i, v := range s {
+			if v != 0 {
+				t.Fatalf("try %d: element %d of Get(8) is %#x, want 0", try, i, v)
+			}
 		}
 		r.Put(s)
 		if other := r.Get(4); len(other) != 4 {

@@ -1,9 +1,11 @@
 package report
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"raccd/internal/coherence"
@@ -125,5 +127,56 @@ func TestWarmMatrixReadsTraceOnce(t *testing.T) {
 		if alloc > 2*uint64(info.Size()) {
 			t.Errorf("warm %s allocated %d B over a %d B trace, want under 2× the file", name, alloc, info.Size())
 		}
+	}
+}
+
+// TestRewrittenTraceIsNotStoredUnderOldKey: a trace run is keyed by the
+// file's content when it is submitted, and the file may be rewritten
+// before the run reads it. The run must then fail, naming the trace,
+// rather than store the new content's Result under the old content's
+// key.
+func TestRewrittenTraceIsNotStoredUnderOldKey(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "x.rtf")
+	name := "trace:" + path
+	record := func(bench string) {
+		t.Helper()
+		tr, err := tracefile.Record(workloads.MustGet(bench, 0.05), tracefile.Fingerprint(bench))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tracefile.WriteFile(path, tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	record("Jacobi")
+	jacobi, err := workloads.Identity(name, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	record("MD5")
+	store, err := resultstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sim.DefaultConfig(coherence.RaCCD, 1)
+	key := resultstore.KeyOf(cfg.Fingerprint(), jacobi)
+	res, _, _, _, err := Simulate(context.Background(), store, key, name, 1, cfg)
+	if err == nil || !strings.Contains(err.Error(), path) {
+		t.Fatalf("run keyed by the Jacobi trace over MD5's bytes: result %s, error %v; want an error naming %s", res.Workload, err, path)
+	}
+	if got, ok := store.Get(key); ok {
+		t.Fatalf("the store answers the Jacobi trace's key with a %s result", got.Workload)
+	}
+	// Keyed by the content it now holds, the same file runs and is stored.
+	md5, err := workloads.Identity(name, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key = resultstore.KeyOf(cfg.Fingerprint(), md5)
+	if res, _, _, _, err = Simulate(context.Background(), store, key, name, 1, cfg); err != nil || res.Workload != "MD5" {
+		t.Fatalf("run keyed by the MD5 trace: result %q, error %v", res.Workload, err)
+	}
+	if got, ok := store.Get(key); !ok || got != res {
+		t.Fatalf("store holds %+v (hit %v) under the MD5 trace's key, want %+v", got, ok, res)
 	}
 }

@@ -135,7 +135,11 @@ func (m Matrix) simulate(ctx context.Context, ids *workloads.Identities, k sim.K
 // alike. With a store, the run is recalled when key is cached and
 // computed at most once per key otherwise (concurrent identical calls
 // coalesce); key must then be resultstore.KeyOf of cfg's fingerprint and
-// the workload's identity. Without one, key is ignored. cached reports a
+// the workload's identity. A key is usually taken well before the run,
+// from an earlier read of a trace's file, so on a miss the run checks
+// that the workload it built still has that identity: a trace rewritten
+// in between fails the run, and nothing is stored under the old
+// content's key. Without a store, key is ignored. cached reports a
 // result this call did not compute. build and run are this call's wall
 // time building the workload and simulating it, zero for a step it did
 // not take. ctx aborts an in-flight simulation at its next task
@@ -148,7 +152,17 @@ func Simulate(ctx context.Context, store *resultstore.Store, key resultstore.Key
 			return sim.Result{}, err
 		}
 		start := time.Now()
-		w, err := workloads.Get(workload, scale)
+		var w workloads.Workload
+		var err error
+		if store == nil {
+			w, err = workloads.Get(workload, scale)
+		} else {
+			var id string
+			w, id, err = workloads.Load(workload, scale)
+			if err == nil && resultstore.KeyOf(cfg.Fingerprint(), id) != key {
+				err = fmt.Errorf("report: %s changed after its run was keyed: it now builds %s", workload, id)
+			}
+		}
 		build = time.Since(start)
 		if err != nil {
 			return sim.Result{}, err

@@ -183,32 +183,8 @@ const TracePrefix = "trace:"
 // This is the replay hook that lets synthetic suites and trace files join
 // evaluation matrices next to the bundled benchmarks.
 func Get(name string, scale float64) (Workload, error) {
-	if err := checkScale(scale); err != nil {
-		return Workload{}, err
-	}
-	if strings.HasPrefix(name, synth.Prefix) {
-		p, err := synth.Parse(name)
-		if err != nil {
-			return Workload{}, err
-		}
-		sw, err := synth.New(p.Scaled(scale))
-		if err != nil {
-			return Workload{}, err
-		}
-		return New(p.Name(), sw.Build), nil
-	}
-	if path, ok := strings.CutPrefix(name, TracePrefix); ok {
-		t, err := tracefile.ReadFile(path)
-		if err != nil {
-			return Workload{}, fmt.Errorf("workloads: %w", err)
-		}
-		return New(t.Name(), t.Build), nil
-	}
-	b, err := lookup(name, scale)
-	if err != nil {
-		return Workload{}, err
-	}
-	return b.build(scale), nil
+	w, _, err := open(name, scale)
+	return w, err
 }
 
 // Identity returns the canonical identity of the task graph that
@@ -235,38 +211,67 @@ func Identity(name string, scale float64) (string, error) {
 	return id, err
 }
 
+// Load is Get that also returns the workload's Identity, both from one
+// read of a trace's file, so the identity is that of the graph the
+// workload builds even when the file is rewritten in between.
+func Load(name string, scale float64) (Workload, string, error) {
+	w, identify, err := open(name, scale)
+	if err != nil {
+		return Workload{}, "", err
+	}
+	return w, identify(), nil
+}
+
 // resolve returns Identity(name, scale) and the name of the workload
 // Get(name, scale) builds, the workload column of its result rows: a
 // benchmark's name, a synth: spec's canonical spec or a trace's name.
 func resolve(name string, scale float64) (id, row string, err error) {
-	if err := checkScale(scale); err != nil {
+	w, identify, err := open(name, scale)
+	if err != nil {
 		return "", "", err
+	}
+	return identify(), w.Name(), nil
+}
+
+// open resolves name at scale in the namespaces Get lists, reading a
+// trace's file once, and returns the workload Get builds with a function
+// that computes its Identity from what that read returned. Only a
+// trace's identity costs more than formatting (it hashes the file's
+// bytes), which is why Get leaves it uncomputed.
+func open(name string, scale float64) (Workload, func() string, error) {
+	if err := checkScale(scale); err != nil {
+		return Workload{}, nil, err
 	}
 	if strings.HasPrefix(name, synth.Prefix) {
 		p, err := synth.Parse(name)
 		if err != nil {
-			return "", "", err
+			return Workload{}, nil, err
 		}
-		// The scaled graph is the one Get builds; it must pass the caps too.
+		// The scaled graph is the one built; it must pass the caps too.
 		sw, err := synth.New(p.Scaled(scale))
 		if err != nil {
-			return "", "", err
+			return Workload{}, nil, err
 		}
-		return sw.Name(), p.Name(), nil
+		return New(p.Name(), sw.Build), sw.Name, nil
 	}
 	if path, ok := strings.CutPrefix(name, TracePrefix); ok {
 		t, err := tracefile.ReadFile(path)
 		if err != nil {
-			return "", "", fmt.Errorf("workloads: %w", err)
+			return Workload{}, nil, fmt.Errorf("workloads: %w", err)
 		}
-		h := sha256.New()
-		_ = tracefile.Encode(h, t) // a hash.Hash never fails a Write
-		return fmt.Sprintf("trace:%s/sha=%x", t.Name(), h.Sum(nil)[:12]), t.Name(), nil
+		return New(t.Name(), t.Build), func() string {
+			h := sha256.New()
+			_ = tracefile.Encode(h, t) // a hash.Hash never fails a Write
+			return fmt.Sprintf("trace:%s/sha=%x", t.Name(), h.Sum(nil)[:12])
+		}, nil
 	}
-	if _, err := lookup(name, scale); err != nil {
-		return "", "", err
+	b, err := lookup(name, scale)
+	if err != nil {
+		return Workload{}, nil, err
 	}
-	return fmt.Sprintf("bench:%s/scale=%s", name, strconv.FormatFloat(scale, 'g', -1, 64)), name, nil
+	return b.build(scale), func() string {
+		return fmt.Sprintf("bench:%s/scale=%s", name, strconv.FormatFloat(scale, 'g', -1, 64))
+	}, nil
 }
 
 // Identities memoizes resolve by workload name and scale, so the runs
